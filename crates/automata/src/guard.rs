@@ -319,7 +319,6 @@ pub struct Guard {
     op_cache: Option<OpCache>,
     pool: Option<Arc<Pool>>,
     lazy: bool,
-    filters: bool,
 }
 
 impl Guard {
@@ -343,7 +342,6 @@ impl Guard {
             op_cache: None,
             pool: None,
             lazy: true,
-            filters: true,
         }
     }
 
@@ -369,7 +367,6 @@ impl Guard {
             op_cache: None,
             pool: None,
             lazy: true,
-            filters: true,
         }
     }
 
@@ -393,23 +390,10 @@ impl Guard {
         self.lazy
     }
 
-    /// Selects whether the semidecision pre-filter ladder (the default) runs
-    /// before the exact inclusion deciders.
-    ///
-    /// With filters on, the Lemma 4.3 prefix inclusion first passes through
-    /// near-linear sound abstractions — letter-count (Parikh) refutation,
-    /// counts-mod-k refutation, and a simulation fast-accept — and only falls
-    /// back to the exact (lazy or eager) decider when every stage returns
-    /// `Unknown`. `with_filters(false)` (the CLI's `--no-filters`) disables
-    /// the ladder entirely.
-    pub fn with_filters(mut self, filters: bool) -> Guard {
-        self.filters = filters;
+    // A no-op: perfbench's tracer still calls it, and it configures nothing.
+    #[doc(hidden)]
+    pub fn with_filters(self, _: bool) -> Guard {
         self
-    }
-
-    /// Whether the pre-filter ladder is selected (see [`Guard::with_filters`]).
-    pub fn filters_enabled(&self) -> bool {
-        self.filters
     }
 
     /// Attaches a [`MetricsRegistry`]: every subsequent charge is mirrored
@@ -429,8 +413,8 @@ impl Guard {
     }
 
     /// Attaches a [`HistogramRegistry`]: latency-instrumented call sites
-    /// (the pre-filter ladder's per-stage elapsed, and whatever else the
-    /// embedding service wires in) record percentile samples into it.
+    /// (the op cache's probes, and whatever else the embedding service
+    /// wires in) record percentile samples into it.
     ///
     /// Histograms are pure telemetry on a separate registry: they never
     /// touch the metric counters, so the deterministic totals are

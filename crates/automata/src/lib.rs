@@ -77,7 +77,6 @@ mod minimize;
 mod nfa;
 mod opcache;
 mod par;
-mod prefilter;
 mod regex;
 mod sim;
 mod stateset;
@@ -94,7 +93,6 @@ pub use mem::MemFootprint;
 pub use nfa::Nfa;
 pub use opcache::OpCache;
 pub use par::{resolve_jobs, Pool, PoolCounters};
-pub use prefilter::{modk_refute, nfa_simulates, parikh_refute};
 pub use regex::Regex;
 pub use rl_obs::knobs;
 pub use rl_obs::{

@@ -7,7 +7,7 @@
 //! bench_compare <baseline.json> <fresh.json>
 //! ```
 //!
-//! Three schemas are understood, matched on the documents' `schema` field
+//! Four schemas are understood, matched on the documents' `schema` field
 //! (baseline and fresh must agree):
 //!
 //! - `rl-bench-trajectory/v1` — per-phase pipeline totals. Deterministic
@@ -22,11 +22,6 @@
 //!   Deterministic counters: `lazy_states`, `eager_states`,
 //!   `lazy_expanded`, `lazy_subsumed`; wall clock: `lazy_jobs1_us`;
 //!   witness: `lazy_counters_equal` (thread-count independence).
-//! - `rl-bench-filters/v1` — the semidecision pre-filter ladder.
-//!   Deterministic counters: `filtered_states`, `filtered_transitions`,
-//!   `lazy_expanded` (a ladder hit must keep this at zero); wall clock:
-//!   `filtered_us`; witness: `filters_agree` (verdicts match
-//!   `--no-filters`; fall-through counters bit-for-bit identical).
 //! - `rl-bench-hist/v1` — percentile histograms attached vs detached.
 //!   Deterministic counters: `states`, `transitions`, `guard_charges`;
 //!   wall clock: `elapsed_us`; witness: `hist_counters_equal` (recording
@@ -94,12 +89,6 @@ fn profile(schema: &str) -> Option<Profile> {
             elapsed: "lazy_jobs1_us",
             witness: "lazy_counters_equal",
             witness_label: "lazy counters thread-count independent",
-        }),
-        "rl-bench-filters/v1" => Some(Profile {
-            counters: &["filtered_states", "filtered_transitions", "lazy_expanded"],
-            elapsed: "filtered_us",
-            witness: "filters_agree",
-            witness_label: "ladder verdicts and fall-through counters agree with --no-filters",
         }),
         "rl-bench-hist/v1" => Some(Profile {
             counters: &["states", "transitions", "guard_charges"],

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p rl-bench --bin harness [-- <experiment>]`
 //! where `<experiment>` is one of `fig2 fig3 fig4 scaling payoff hardness
-//! ltl fair prob trajectory par lazy filters hist all` (default `all`).
+//! ltl fair prob trajectory par lazy hist all` (default `all`).
 //!
 //! `trajectory` additionally writes `BENCH_<date>.json` at the repository
 //! root: per-phase observability metrics (schema `rl-bench-trajectory/v1`)
@@ -25,12 +25,6 @@
 //! every trajectory case checked with the lazy fused pipeline (the default)
 //! and with `--no-lazy` materialization side by side — expanded-state and
 //! wall-clock deltas, with needle24 as the headline case.
-//!
-//! `filters` writes `BENCH_<date>-filters.json` (schema
-//! `rl-bench-filters/v1`): every trajectory case plus the shipped
-//! `filter_*.ts` instances run with the semidecision pre-filter ladder on
-//! and off — which stage settled each case, the zero-exact-work invariant
-//! on hits, and the bit-for-bit fall-through counter identity.
 //!
 //! `hist` writes `BENCH_<date>-hist.json` (schema `rl-bench-hist/v1`):
 //! every trajectory case run with the percentile histogram registry
@@ -401,23 +395,17 @@ fn today() -> String {
 }
 
 /// Which pipeline variant a [`trajectory_case`] runs: worker count plus the
-/// lazy-search and filter-ladder toggles (the `--jobs`, `--no-lazy`, and
-/// `--no-filters` knobs of the CLI).
+/// lazy-search toggle (the `--jobs` and `--no-lazy` knobs of the CLI).
 #[derive(Clone, Copy)]
 struct Pipeline {
     jobs: usize,
     lazy: bool,
-    filters: bool,
 }
 
 impl Pipeline {
-    /// The CLI's defaults at a given worker count: lazy on, filters on.
+    /// The CLI's defaults at a given worker count: lazy on.
     fn with_jobs(jobs: usize) -> Self {
-        Pipeline {
-            jobs,
-            lazy: true,
-            filters: true,
-        }
+        Pipeline { jobs, lazy: true }
     }
 }
 
@@ -433,11 +421,7 @@ fn trajectory_case(
     pipeline: Pipeline,
     tracer: Option<std::sync::Arc<rl_automata::Tracer>>,
 ) -> (String, MetricsRegistry) {
-    let Pipeline {
-        jobs,
-        lazy,
-        filters,
-    } = pipeline;
+    let Pipeline { jobs, lazy } = pipeline;
     let text = std::fs::read_to_string(format!("{root}/examples/systems/{file}"))
         .expect("example system exists");
     let ts = parse_system(&text).expect("example system parses");
@@ -456,7 +440,6 @@ fn trajectory_case(
     };
     let mut guard = Guard::new(budget)
         .with_lazy(lazy)
-        .with_filters(filters)
         .with_metrics(registry.clone())
         .with_op_cache(cache);
     if jobs >= 2 {
@@ -719,16 +702,8 @@ fn lazy_experiment(out_override: Option<&str>) {
         ]
     };
     let mut rows = Vec::new();
-    // Filters off throughout: this experiment pins the two *exact*
-    // pipelines against each other; the pre-filter ladder would settle
-    // most of these inclusions before either one ran (`filters` below
-    // measures the ladder itself).
     for (file, formula, budget) in trajectory_cases() {
-        let lazy_pipeline = |jobs| Pipeline {
-            jobs,
-            lazy: true,
-            filters: false,
-        };
+        let lazy_pipeline = |jobs| Pipeline { jobs, lazy: true };
         let (lazy_outcome, lazy_reg) =
             trajectory_case(root, file, formula, budget.clone(), lazy_pipeline(1), None);
         let lazy_us = lazy_reg.elapsed().as_micros() as u64;
@@ -738,7 +713,6 @@ fn lazy_experiment(out_override: Option<&str>) {
         let eager_pipeline = Pipeline {
             jobs: 1,
             lazy: false,
-            filters: false,
         };
         let (eager_outcome, eager_reg) =
             trajectory_case(root, file, formula, budget, eager_pipeline, None);
@@ -820,160 +794,11 @@ fn lazy_experiment(out_override: Option<&str>) {
     println!();
 }
 
-/// The semidecision pre-filter ladder vs the exact deciders: every
-/// trajectory case plus the four shipped `filter_*.ts` instances, each run
-/// three ways — filters on (the default), `--no-filters` on the lazy
-/// pipeline, and `--no-filters --no-lazy` (the materializing PSPACE core).
-/// Writes `BENCH_<date>-filters.json` (schema `rl-bench-filters/v1`): the
-/// stage that settled each case, the elapsed deltas, and two hard
-/// invariants — a ladder hit leaves zero `lazy/expanded` work behind and
-/// beats the materializing core by ≥10x on the windowed instances, while a
-/// pure fall-through charges bit-for-bit the `--no-filters` deterministic
-/// counters at <5% (or <2ms) wall-clock overhead.
-fn filters_experiment(out_override: Option<&str>) {
-    println!("== E20 — semidecision pre-filter ladder vs the exact core ==");
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    println!(
-        "{:<24} {:<8} {:>12} {:>12} {:>12}   outcome",
-        "system", "stage", "filtered-ms", "lazy-ms", "eager-ms"
-    );
-    let counters = |r: &MetricsRegistry| {
-        [
-            r.total(Metric::States),
-            r.total(Metric::Transitions),
-            r.total(Metric::GuardCharges),
-            r.total(Metric::CacheHits),
-        ]
-    };
-    let mut cases: Vec<(&str, &str, Budget)> = trajectory_cases().to_vec();
-    cases.extend([
-        ("filter_parikh.ts", "[]<>a", Budget::unlimited()),
-        ("filter_mod3.ts", "[]<>a", Budget::unlimited()),
-        ("filter_sim.ts", "[]<>ack", Budget::unlimited()),
-        ("filter_fallthrough.ts", "[]<>a", Budget::unlimited()),
-    ]);
-    let mut rows = Vec::new();
-    for (file, formula, budget) in cases {
-        // Median-of-three wall clocks per configuration, like `time_ms`.
-        let timed = |lazy: bool, filters: bool| {
-            let mut runs: Vec<(String, MetricsRegistry, u64)> = (0..3)
-                .map(|_| {
-                    let pipeline = Pipeline {
-                        jobs: 1,
-                        lazy,
-                        filters,
-                    };
-                    let (outcome, reg) =
-                        trajectory_case(root, file, formula, budget.clone(), pipeline, None);
-                    let us = reg.elapsed().as_micros() as u64;
-                    (outcome, reg, us)
-                })
-                .collect();
-            runs.sort_by_key(|&(_, _, us)| us);
-            runs.swap_remove(1)
-        };
-        let (outcome, reg, us) = timed(true, true);
-        let (lazy_outcome, lazy_reg, lazy_us) = timed(true, false);
-        let (_eager_outcome, _eager_reg, eager_us) = timed(false, false);
-        let hit = reg.counter("filter/hit").get() == 1;
-        let stage = if reg.counter("filter/parikh/hit").get() == 1 {
-            "parikh"
-        } else if reg.counter("filter/modk/hit").get() == 1 {
-            "modk"
-        } else if reg.counter("filter/sim/hit").get() == 1 {
-            "sim"
-        } else {
-            "none"
-        };
-        let expanded = reg.counter("lazy/expanded").get();
-        // The ladder never changes a verdict, and a hit leaves the exact
-        // machinery untouched for the relative-liveness phase.
-        assert_eq!(outcome, lazy_outcome, "{file}: filters changed the verdict");
-        assert!(
-            !hit || expanded == 0,
-            "{file}: ladder hit but the fused search still expanded {expanded}"
-        );
-        // Fall-through must be indistinguishable in the deterministic
-        // counters (the kernels only poll the guard) and nearly free:
-        // under 5% of the --no-filters wall clock, or under 2ms absolute
-        // (the examples are small enough for scheduler jitter to matter).
-        let counters_equal = hit || counters(&reg) == counters(&lazy_reg);
-        assert!(
-            counters_equal,
-            "{file}: fall-through diverged from --no-filters counters \
-             ({:?} vs {:?})",
-            counters(&reg),
-            counters(&lazy_reg)
-        );
-        if !hit {
-            let overhead_us = us.saturating_sub(lazy_us);
-            assert!(
-                us as f64 <= lazy_us as f64 * 1.05 || overhead_us < 2_000,
-                "{file}: fall-through overhead {overhead_us}us over {lazy_us}us"
-            );
-        }
-        // The windowed filter instances are the headline: the ladder beats
-        // the materializing PSPACE core by at least 10x wall clock.
-        if file.starts_with("filter_") && file != "filter_fallthrough.ts" && file != "filter_sim.ts"
-        {
-            assert!(
-                eager_us >= 10 * us.max(1),
-                "{file}: ladder speedup below 10x (filtered {us}us, eager {eager_us}us)"
-            );
-        }
-        println!(
-            "{:<24} {:<8} {:>12.2} {:>12.2} {:>12.2}   {}",
-            file,
-            stage,
-            us as f64 / 1_000.0,
-            lazy_us as f64 / 1_000.0,
-            eager_us as f64 / 1_000.0,
-            outcome
-        );
-        rows.push(
-            ObjBuilder::new()
-                .field("system", file)
-                .field("formula", formula)
-                .field("outcome", outcome)
-                .field("stage", stage)
-                .field("filter_hit", hit)
-                .field("filtered_states", reg.total(Metric::States))
-                .field("filtered_transitions", reg.total(Metric::Transitions))
-                .field("lazy_expanded", expanded)
-                .field("filtered_us", us)
-                .field("nofilter_lazy_us", lazy_us)
-                .field("nofilter_eager_us", eager_us)
-                .field("filters_agree", counters_equal)
-                .build(),
-        );
-    }
-    let date = today();
-    let doc = ObjBuilder::new()
-        .field("schema", "rl-bench-filters/v1")
-        .field("date", date.as_str())
-        .field(
-            "note",
-            "stage = ladder stage that settled the inclusion (none = fall-through \
-             to the exact core); filters_agree witnesses verdict agreement and, on \
-             fall-through, bit-for-bit deterministic counters vs --no-filters",
-        )
-        .field("cases", Json::Arr(rows))
-        .build();
-    let path = match out_override {
-        Some(p) => p.to_owned(),
-        None => format!("{root}/BENCH_{date}-filters.json"),
-    };
-    let text = rl_json::to_string_pretty(&doc).expect("filters document serializes");
-    std::fs::write(&path, text + "\n").expect("output path is writable");
-    println!("wrote {path}");
-    println!();
-}
-
 /// One percentile-instrumented case: the same pipeline as
 /// [`trajectory_case`] with a [`rl_automata::HistogramRegistry`] attached
-/// to the guard, the op cache, and (at `jobs >= 2`) the pool, so filter
-/// stage latencies, cache probe/lock waits, and steal/park durations all
-/// record. Returns the registry totals plus the histogram snapshot.
+/// to the guard, the op cache, and (at `jobs >= 2`) the pool, so cache
+/// probe/lock waits and steal/park durations record. Returns the registry
+/// totals plus the histogram snapshot.
 fn hist_case(
     root: &str,
     file: &str,
@@ -997,7 +822,6 @@ fn hist_case(
     cache.set_histograms(hists.clone());
     let mut guard = Guard::new(budget)
         .with_lazy(true)
-        .with_filters(true)
         .with_metrics(registry.clone())
         .with_histograms(hists.clone())
         .with_op_cache(cache);
@@ -1168,7 +992,6 @@ fn main() {
         "trajectory" => trajectory(out.as_deref(), jobs),
         "par" => par(out.as_deref()),
         "lazy" => lazy_experiment(out.as_deref()),
-        "filters" => filters_experiment(out.as_deref()),
         "hist" => hist_experiment(out.as_deref()),
         "all" => {
             fig2();
@@ -1183,14 +1006,13 @@ fn main() {
             trajectory(out.as_deref(), jobs);
             par(None);
             lazy_experiment(None);
-            filters_experiment(None);
             hist_experiment(None);
         }
         other => {
             eprintln!(
                 "unknown experiment {other:?}; expected one of \
                  fig2 fig3 fig4 scaling payoff hardness ltl fair prob trajectory par lazy \
-                 filters hist all"
+                 hist all"
             );
             std::process::exit(2);
         }

@@ -85,13 +85,7 @@ struct Run {
 fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool, jobs: usize, cache: bool) -> Run {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let reg = MetricsRegistry::new();
-    // Filters off: this suite pins the *exact* pipelines against each
-    // other, so the pre-filter ladder must not settle the inclusion first
-    // (`filter_equiv` in rl-core pins the ladder itself).
-    let mut guard = Guard::unlimited()
-        .with_lazy(lazy)
-        .with_filters(false)
-        .with_metrics(reg.clone());
+    let mut guard = Guard::unlimited().with_lazy(lazy).with_metrics(reg.clone());
     if cache {
         guard = guard.with_op_cache(OpCache::new());
     }
@@ -173,13 +167,15 @@ fn fixture(file: &str) -> TransitionSystem {
     parse_system(&text).expect("fixture parses")
 }
 
-/// The shipped trajectory fixtures (minus needle24, whose eager run is the
-/// point of the lazy pipeline — it gets its own test below).
-const FIXTURES: [(&str, &str); 4] = [
+/// The shipped trajectory fixtures plus `filter_sim.ts` (minus needle24,
+/// whose eager run is the point of the lazy pipeline — it gets its own test
+/// below — and the other `filter_*` fixtures, whose eager runs take seconds).
+const FIXTURES: [(&str, &str); 5] = [
     ("abp.ts", "[]<>deliver"),
     ("clock.ts", "[]<>tick"),
     ("server.pn", "[]<>result"),
     ("server_err.pn", "[]<>result"),
+    ("filter_sim.ts", "[]<>ack"),
 ];
 
 #[test]
@@ -231,6 +227,28 @@ fn needle24_is_feasible_only_lazily() {
         "antichain search must stay tiny, expanded {expanded}"
     );
     assert!(subsumed > 0, "subsumption must fire, subsumed {subsumed}");
+}
+
+#[test]
+fn filter_fixtures_fail_rel_live_lazily() {
+    // The eager pipeline takes seconds on these fixtures, so only the lazy
+    // verdict is pinned: `[]<>a` is not relative-live on any of them, the
+    // doomed prefix replays, and the thread count changes nothing.
+    for file in [
+        "filter_parikh.ts",
+        "filter_mod3.ts",
+        "filter_fallthrough.ts",
+    ] {
+        let ts = fixture(file);
+        let j1 = run_check(&ts, "[]<>a", true, 1, true);
+        assert!(!j1.live, "{file}: []<>a must not be relative-live");
+        assert!(j1.doomed.is_some(), "{file}: no doomed prefix");
+        assert_witnesses_valid(&ts, "[]<>a", &j1);
+        let j4 = run_check(&ts, "[]<>a", true, 4, true);
+        assert_eq!(j1.live, j4.live, "{file}");
+        assert_eq!(j1.doomed, j4.doomed, "{file}");
+        assert_eq!(j1.counters, j4.counters, "{file}");
+    }
 }
 
 proptest! {

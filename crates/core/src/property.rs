@@ -129,8 +129,11 @@ impl Property {
     /// [`Property::negation_to_buchi`] under a resource [`Guard`].
     ///
     /// Only automaton-given properties can trip the guard (their complement
-    /// uses the exponential rank-based construction); formula-given
-    /// properties negate the formula instead, which is linear.
+    /// uses the exponential rank-based construction). Formula-given
+    /// properties negate the formula and translate the negation instead.
+    /// That path is unguarded and superlinear in the formula's nesting
+    /// depth (deep `[]` chains are the worst case), so neither a budget nor
+    /// a deadline can stop it.
     ///
     /// # Errors
     ///

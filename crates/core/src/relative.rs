@@ -83,13 +83,6 @@ pub fn is_relative_liveness(
 
 /// [`is_relative_liveness`] under a resource [`Guard`].
 ///
-/// Unless [`Guard::with_filters`] turned them off, the Lemma 4.3 inclusion
-/// first passes through the semidecision pre-filter ladder
-/// ([`crate::prefilter_inclusion`]): sound near-linear abstractions —
-/// letter-count refutation, counts-mod-k refutation, simulation
-/// fast-accept — that settle many instances without any exponential work,
-/// falling through to the exact decider only on `Unknown`.
-///
 /// By default ([`Guard::lazy_enabled`]) the Lemma 4.3 inclusion
 /// `pre(L_ω) ⊆ pre(L_ω ∩ P)` runs as a fused on-the-fly search
 /// ([`nfa_included_lazy`]): no prefix automaton is determinized, frontier
@@ -114,38 +107,22 @@ pub fn is_relative_liveness_with(
     let both = system.intersection_with(&p, guard)?;
     let pre_l = system.prefix_nfa();
     let pre_lp = both.prefix_nfa();
-    // The semidecision ladder first: sound near-linear abstractions that
-    // prove or refute the inclusion on many inputs; only `Unknown` falls
-    // through to the exact decider.
-    let decided = if guard.filters_enabled() {
-        match crate::filters::prefilter_inclusion(&pre_l, &pre_lp, guard)? {
-            crate::filters::FilterOutcome::Proved => Some(None),
-            crate::filters::FilterOutcome::Refuted(w) => Some(Some(w)),
-            crate::filters::FilterOutcome::Unknown => None,
-        }
+    let doomed = if guard.lazy_enabled() {
+        // Both prefix NFAs are all-accepting (prefix-closed) by
+        // construction, so acceptance along the lazy product is simply
+        // run-set non-emptiness and the antichain search decides the
+        // inclusion without a single subset construction.
+        nfa_included_lazy(&pre_l, &pre_lp, guard)?
     } else {
-        None
-    };
-    let doomed = match decided {
-        Some(doomed) => doomed,
-        None if guard.lazy_enabled() => {
-            // Both prefix NFAs are all-accepting (prefix-closed) by
-            // construction, so acceptance along the lazy product is simply
-            // run-set non-emptiness and the antichain search decides the
-            // inclusion without a single subset construction.
-            nfa_included_lazy(&pre_l, &pre_lp, guard)?
-        }
-        None => {
-            let pre_l_dfa = pre_l.determinize_with(guard)?;
-            let pre_lp_dfa = pre_lp.determinize_with(guard)?;
-            // Lemma 4.3: equality; pre(L∩P) ⊆ pre(L) always holds, so only
-            // the forward inclusion can fail.
-            debug_assert!(
-                dfa_included(&pre_lp_dfa, &pre_l_dfa).is_none(),
-                "pre(L ∩ P) ⊈ pre(L): construction bug"
-            );
-            dfa_included_with(&pre_l_dfa, &pre_lp_dfa, guard)?
-        }
+        let pre_l_dfa = pre_l.determinize_with(guard)?;
+        let pre_lp_dfa = pre_lp.determinize_with(guard)?;
+        // Lemma 4.3: equality; pre(L∩P) ⊆ pre(L) always holds, so only
+        // the forward inclusion can fail.
+        debug_assert!(
+            dfa_included(&pre_lp_dfa, &pre_l_dfa).is_none(),
+            "pre(L ∩ P) ⊈ pre(L): construction bug"
+        );
+        dfa_included_with(&pre_l_dfa, &pre_lp_dfa, guard)?
     };
     Ok(RelativeLivenessVerdict {
         holds: doomed.is_none(),

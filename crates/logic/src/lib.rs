@@ -60,7 +60,7 @@ mod translate;
 pub use ast::Formula;
 pub use eval::{evaluate, truth};
 pub use labeling::{Labeling, EPSILON_PROP};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_FORMULA_DEPTH};
 pub use simplify::simplify;
 pub use transform::{is_sigma_normal_form, r_bar, r_bar_strict, to_sigma_normal_form, transform_t};
 pub use translate::formula_to_buchi;

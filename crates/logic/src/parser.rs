@@ -157,10 +157,23 @@ fn lex(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     Ok(toks)
 }
 
+/// The deepest formula [`parse`] accepts. Both the height of the syntax
+/// tree and the parser's own recursion (parentheses and operators on the
+/// way down) are capped here: every later pass over a formula (normal
+/// forms, translation, display, drop) recurses along the tree, so the cap
+/// keeps them all within a worker thread's stack.
+pub const MAX_FORMULA_DEPTH: usize = 256;
+
+/// A parsed sub-formula with the height of its syntax tree.
+type Node = (Formula, usize);
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
     end: usize,
+    /// Current parser recursion depth (parentheses, prefix operators and
+    /// right operands of right-associative ones).
+    depth: usize,
 }
 
 impl Parser {
@@ -187,117 +200,117 @@ impl Parser {
         }
     }
 
-    fn iff(&mut self) -> Result<Formula, ParseError> {
-        let mut left = self.imp()?;
-        while self.peek() == Some(&Tok::Iff) {
+    fn too_deep(&self) -> ParseError {
+        self.error(format!(
+            "formula nests deeper than {MAX_FORMULA_DEPTH} levels"
+        ))
+    }
+
+    /// Runs `parse` one recursion level down, failing instead of
+    /// descending past [`MAX_FORMULA_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<Node, ParseError>,
+    ) -> Result<Node, ParseError> {
+        if self.depth == MAX_FORMULA_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let node = parse(self);
+        self.depth -= 1;
+        node
+    }
+
+    /// A node whose children have the larger height `child`.
+    fn node(&self, formula: Formula, child: usize) -> Result<Node, ParseError> {
+        if child == MAX_FORMULA_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((formula, child + 1))
+    }
+
+    /// `operand ( op operand )*`, folded to the left.
+    fn left_assoc(
+        &mut self,
+        op: Tok,
+        operand: fn(&mut Parser) -> Result<Node, ParseError>,
+        join: fn(Formula, Formula) -> Formula,
+    ) -> Result<Node, ParseError> {
+        let (mut left, mut height) = operand(self)?;
+        while self.peek() == Some(&op) {
             self.bump();
-            let right = self.imp()?;
-            left = left.iff(right);
+            let (right, h) = operand(self)?;
+            (left, height) = self.node(join(left, right), height.max(h))?;
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn imp(&mut self) -> Result<Formula, ParseError> {
-        let left = self.or()?;
-        if self.peek() == Some(&Tok::Implies) {
-            self.bump();
-            let right = self.imp()?;
-            Ok(left.implies(right))
-        } else {
-            Ok(left)
-        }
+    fn iff(&mut self) -> Result<Node, ParseError> {
+        self.left_assoc(Tok::Iff, Self::imp, Formula::iff)
     }
 
-    fn or(&mut self) -> Result<Formula, ParseError> {
-        let mut left = self.and()?;
-        while self.peek() == Some(&Tok::Or) {
-            self.bump();
-            let right = self.and()?;
-            left = left.or(right);
+    fn imp(&mut self) -> Result<Node, ParseError> {
+        let (left, height) = self.or()?;
+        if self.peek() != Some(&Tok::Implies) {
+            return Ok((left, height));
         }
-        Ok(left)
+        self.bump();
+        let (right, h) = self.nested(Self::imp)?;
+        self.node(left.implies(right), height.max(h))
     }
 
-    fn and(&mut self) -> Result<Formula, ParseError> {
-        let mut left = self.until()?;
-        while self.peek() == Some(&Tok::And) {
-            self.bump();
-            let right = self.until()?;
-            left = left.and(right);
-        }
-        Ok(left)
+    fn or(&mut self) -> Result<Node, ParseError> {
+        self.left_assoc(Tok::Or, Self::and, Formula::or)
     }
 
-    fn until(&mut self) -> Result<Formula, ParseError> {
-        let left = self.unary()?;
-        match self.peek() {
-            Some(&Tok::Until) => {
-                self.bump();
-                let right = self.until()?;
-                Ok(left.until(right))
-            }
-            Some(&Tok::Release) => {
-                self.bump();
-                let right = self.until()?;
-                Ok(left.release(right))
-            }
-            Some(&Tok::Before) => {
-                self.bump();
-                let right = self.until()?;
-                Ok(left.before(right))
-            }
-            Some(&Tok::WeakUntil) => {
-                self.bump();
-                let right = self.until()?;
-                Ok(left.weak_until(right))
-            }
-            _ => Ok(left),
-        }
+    fn and(&mut self) -> Result<Node, ParseError> {
+        self.left_assoc(Tok::And, Self::until, Formula::and)
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseError> {
-        match self.peek() {
-            Some(&Tok::Not) => {
-                self.bump();
-                Ok(self.unary()?.not())
-            }
-            Some(&Tok::Next) => {
-                self.bump();
-                Ok(self.unary()?.next())
-            }
-            Some(&Tok::Eventually) => {
-                self.bump();
-                Ok(self.unary()?.eventually())
-            }
-            Some(&Tok::Always) => {
-                self.bump();
-                Ok(self.unary()?.always())
-            }
-            Some(&Tok::True) => {
-                self.bump();
-                Ok(Formula::True)
-            }
-            Some(&Tok::False) => {
-                self.bump();
-                Ok(Formula::False)
-            }
-            Some(Tok::Ident(_)) => {
-                if let Some(Tok::Ident(name)) = self.bump() {
-                    Ok(Formula::atom(name))
-                } else {
-                    unreachable!()
-                }
-            }
+    fn until(&mut self) -> Result<Node, ParseError> {
+        let (left, height) = self.unary()?;
+        let op: fn(Formula, Formula) -> Formula = match self.peek() {
+            Some(&Tok::Until) => Formula::until,
+            Some(&Tok::Release) => Formula::release,
+            Some(&Tok::Before) => Formula::before,
+            Some(&Tok::WeakUntil) => Formula::weak_until,
+            _ => return Ok((left, height)),
+        };
+        self.bump();
+        let (right, h) = self.nested(Self::until)?;
+        self.node(op(left, right), height.max(h))
+    }
+
+    fn unary(&mut self) -> Result<Node, ParseError> {
+        let op: fn(Formula) -> Formula = match self.peek() {
+            Some(&Tok::Not) => Formula::not,
+            Some(&Tok::Next) => Formula::next,
+            Some(&Tok::Eventually) => Formula::eventually,
+            Some(&Tok::Always) => Formula::always,
+            _ => return self.primary(),
+        };
+        self.bump();
+        let (operand, height) = self.nested(Self::unary)?;
+        self.node(op(operand), height)
+    }
+
+    fn primary(&mut self) -> Result<Node, ParseError> {
+        let leaf = match self.peek() {
+            Some(&Tok::True) => Formula::True,
+            Some(&Tok::False) => Formula::False,
+            Some(Tok::Ident(name)) => Formula::atom(name.clone()),
             Some(&Tok::LParen) => {
                 self.bump();
-                let inner = self.iff()?;
+                let inner = self.nested(Self::iff)?;
                 if self.bump() != Some(Tok::RParen) {
                     return Err(self.error("expected ')'"));
                 }
-                Ok(inner)
+                return Ok(inner);
             }
-            _ => Err(self.error("expected a formula")),
-        }
+            _ => return Err(self.error("expected a formula")),
+        };
+        self.bump();
+        Ok((leaf, 0))
     }
 }
 
@@ -305,7 +318,8 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with position information on malformed input.
+/// Returns a [`ParseError`] with position information on malformed input,
+/// and on formulas nested deeper than [`MAX_FORMULA_DEPTH`].
 ///
 /// # Example
 ///
@@ -326,8 +340,9 @@ pub fn parse(input: &str) -> Result<Formula, ParseError> {
         toks,
         pos: 0,
         end: input.len(),
+        depth: 0,
     };
-    let f = p.iff()?;
+    let (f, _) = p.iff()?;
     if p.pos != p.toks.len() {
         return Err(p.error("trailing input"));
     }
@@ -393,6 +408,20 @@ mod tests {
     fn double_ampersand_accepted() {
         assert_eq!(parse("a && b").unwrap(), parse("a & b").unwrap());
         assert_eq!(parse("a || b").unwrap(), parse("a | b").unwrap());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nots = |n: usize| format!("{}a", "!".repeat(n));
+        let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        let ands = |n: usize| format!("a{}", " & a".repeat(n));
+        let untils = |n: usize| format!("a{}", " U a".repeat(n));
+        for deep in [nots, parens, ands, untils] {
+            assert!(parse(&deep(MAX_FORMULA_DEPTH)).is_ok());
+            let err = parse(&deep(MAX_FORMULA_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{err}");
+            assert!(parse(&deep(20_000)).is_err());
+        }
     }
 
     #[test]

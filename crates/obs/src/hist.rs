@@ -1,13 +1,13 @@
 //! Lock-free log-bucketed histograms with percentile estimation.
 //!
 //! Counters answer "how many"; the service-level questions the serve daemon
-//! faces — queue-wait spikes, filter-ladder latency tails, cache-probe
+//! faces — queue-wait spikes, job wall-time tails, cache-probe
 //! contention — need "how long, at which quantile". This module provides
 //! the dependency-free percentile plane:
 //!
 //! * [`Histogram`] — a fixed array of atomic buckets. Recording a value is
 //!   a handful of relaxed atomic adds (no locks, no allocation), so the hot
-//!   paths of the pool, the op cache, and the filter ladder can record
+//!   paths of the pool, the op cache, and the serve daemon can record
 //!   unconditionally once a registry is attached.
 //! * [`HistogramSnapshot`] — the detached, mergeable, serializable copy:
 //!   the unit that crosses threads, rides the telemetry stream as `hist`
@@ -563,10 +563,10 @@ mod tests {
         for v in [1u64, 1, 2, 100, 100, 100, 4_000] {
             h.record(v);
         }
-        let counters = vec![("filter/hit".to_owned(), 3u64)];
+        let counters = vec![("lazy/expanded".to_owned(), 3u64)];
         let text = render_prometheus(&counters, &reg.snapshot());
-        assert!(text.contains("# TYPE rl_filter_hit_total counter"));
-        assert!(text.contains("rl_filter_hit_total 3"));
+        assert!(text.contains("# TYPE rl_lazy_expanded_total counter"));
+        assert!(text.contains("rl_lazy_expanded_total 3"));
         assert!(text.contains("# TYPE rl_serve_queue_wait_us histogram"));
         assert!(text.contains("rl_serve_queue_wait_us_bucket{le=\"+Inf\"} 7"));
         assert!(text.contains("rl_serve_queue_wait_us_sum 4304"));

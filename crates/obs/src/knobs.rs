@@ -1,10 +1,10 @@
 //! Environment-knob parsing with a warn-once policy.
 //!
-//! The runtime knobs (`RL_PROGRESS_MS`, `RL_SUBSCRIBER_RING`,
-//! `RL_FILTER_MODK`, …) used to fall back to their defaults *silently* on a
-//! parse failure, so a typo like `RL_PROGRESS_MS=1s` quietly sampled at the
-//! default period. The helpers here separate the pure, unit-testable parse
-//! (`parse_u64` / the callers' own list parsers) from the side effect: one
+//! The runtime knobs (`RL_PROGRESS_MS`, `RL_SUBSCRIBER_RING`, …) used to
+//! fall back to their defaults *silently* on a parse failure, so a typo
+//! like `RL_PROGRESS_MS=1s` quietly sampled at the default period. The
+//! helpers here separate the pure, unit-testable parse (`parse_u64`) from
+//! the side effect: one
 //! stderr warning per knob name per process, so a misconfigured daemon says
 //! so exactly once instead of never or once per job.
 

@@ -303,22 +303,6 @@ impl RegistrySnapshot {
         for (name, value) in &self.counters {
             let _ = writeln!(out, "{name:<44} {value:>10}");
         }
-        // Headline pre-filter effectiveness: how many Lemma 4.3 inclusions
-        // the semidecision ladder answered without the exact decider.
-        // Derived purely from the (deterministic) counters, so an offline
-        // `rlcheck report` re-renders the row byte-for-byte.
-        let counter = |needle: &str| {
-            self.counters
-                .iter()
-                .find(|(name, _)| name == needle)
-                .map_or(0, |&(_, value)| value)
-        };
-        let hits = counter("filter/hit");
-        let total = hits + counter("filter/fallthrough");
-        if let Some(pct) = (hits * 100).checked_div(total) {
-            let rate = format!("{hits}/{total} ({pct}%)");
-            let _ = writeln!(out, "{:<44} {rate:>10}", "filter hit-rate");
-        }
         out
     }
 }

@@ -301,15 +301,12 @@ impl ObsReport {
                 instants
             );
         }
-        // Algorithm-level instants — the lazy pipeline's layer/prune marks
-        // and the pre-filter ladder's hit/fallthrough marks — rolled up by
-        // name, so a committed trace answers "how often did the antichain
-        // prune?" and "which checks did the ladder settle?" at a glance.
+        // Algorithm-level instants — the lazy pipeline's layer/prune marks —
+        // rolled up by name, so a committed trace answers "how often did
+        // the antichain prune?" at a glance.
         let mut named: Vec<(&str, usize)> = Vec::new();
         for e in &self.events {
-            if e.phase != TracePhase::Instant
-                || !(e.name.starts_with("lazy-") || e.name.starts_with("filter-"))
-            {
+            if e.phase != TracePhase::Instant || !e.name.starts_with("lazy-") {
                 continue;
             }
             match named.iter_mut().find(|(name, _)| *name == e.name) {
@@ -532,7 +529,7 @@ mod tests {
         for v in [10u64, 20, 3_000] {
             h.record(v);
         }
-        let hists = vec![("filter/parikh_us".to_owned(), h.snapshot())];
+        let hists = vec![("opcache/probe_us".to_owned(), h.snapshot())];
         let snap = m.snapshot();
         let jsonl = render_jsonl_with_hists(&snap, Some(1), None, &hists);
         assert!(jsonl.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v3\""));
@@ -541,10 +538,10 @@ mod tests {
         assert!(!report.truncated);
         assert_eq!(report.hists.len(), 1);
         assert_eq!(report.hists[0].0, None);
-        assert_eq!(report.hists[0].1, "filter/parikh_us");
+        assert_eq!(report.hists[0].1, "opcache/probe_us");
         assert_eq!(report.hists[0].2, hists[0].1);
         let table = report.hist_summary();
-        assert!(table.contains("filter/parikh_us"), "{table}");
+        assert!(table.contains("opcache/probe_us"), "{table}");
         assert!(table.contains("p99"), "{table}");
         // The deterministic phase table is untouched by hist lines.
         assert_eq!(report.summary(), snap.summary());

@@ -8,7 +8,7 @@
 //!  "tolerance_pct": 25,
 //!  "families": {
 //!    "serve/queue_wait_us": {"p50": 200, "p99": 5000},
-//!    "filter/parikh_us":    {"p99": 1500}}}
+//!    "serve/job_wall_us":   {"p99": 1500}}}
 //! ```
 //!
 //! `rlcheck slo <baseline.json> --dir <journal>` evaluates the journal's

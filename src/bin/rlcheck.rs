@@ -88,11 +88,6 @@
 //!                      subset constructions and differences eagerly instead
 //!                      of exploring the on-the-fly product with antichain
 //!                      subsumption (verdicts are identical either way)
-//! --no-filters         opt out of the semidecision pre-filter ladder
-//!                      (Parikh letter counts, counts mod k, simulation
-//!                      fast-accept) that short-circuits the exact inclusion
-//!                      decider when an abstraction already settles the
-//!                      verdict (verdicts are identical either way)
 //! --cache-bytes <n>    byte budget for that cache: resident entries are
 //!                      size-accounted and evicted cost-aware-LRU so the
 //!                      cache never holds more than <n> bytes (verdicts and
@@ -248,20 +243,6 @@ fn extract_no_lazy(args: &mut Vec<String>) -> bool {
     disabled
 }
 
-/// Extracts `--no-filters` from the argument list. The semidecision
-/// pre-filter ladder (Parikh, counts-mod-k, simulation fast-accept) runs in
-/// front of the exact inclusion decider by default; this flag disables it so
-/// every check exercises the exact (lazy or eager) core — for debugging,
-/// differential testing, and apples-to-apples benchmarks.
-fn extract_no_filters(args: &mut Vec<String>) -> bool {
-    let mut disabled = false;
-    while let Some(idx) = args.iter().position(|a| a == "--no-filters") {
-        args.remove(idx);
-        disabled = true;
-    }
-    disabled
-}
-
 /// Extracts a `<flag> <value>` pair from the argument list (every
 /// occurrence; the last value wins).
 fn extract_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
@@ -274,6 +255,15 @@ fn extract_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<Strin
         value = Some(raw);
     }
     Ok(value)
+}
+
+/// Fails on any `--flag` left after a subcommand has extracted the flags
+/// it knows, so a misspelled option is a usage error instead of a no-op.
+fn reject_unknown_flags(args: &[String]) -> Result<(), String> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(format!("unknown flag {flag:?}")),
+        None => Ok(()),
+    }
 }
 
 /// Extracts `--jobs <n>` and resolves the effective worker count:
@@ -321,7 +311,6 @@ struct GuardSeed {
     budget: Budget,
     cancel: CancelToken,
     lazy: bool,
-    filters: bool,
     /// Shared percentile registry. Unlike the counter registry (sharded
     /// per job and absorbed in submission order for determinism), the
     /// histogram registry is attached directly: records are lock-free
@@ -359,7 +348,6 @@ fn cmd_batch(
             let budget = seed.budget.clone();
             let cancel = seed.cancel.clone();
             let lazy = seed.lazy;
-            let filters = seed.filters;
             let hists = seed.hists.clone();
             let cache = shared_cache.clone();
             let tracer = tracer.cloned();
@@ -382,9 +370,7 @@ fn cmd_batch(
                 // sharded collector, so the job's span events land on the
                 // worker's own timeline track.
                 let reg = want_snapshots.then(MetricsRegistry::new);
-                let mut guard = Guard::with_cancel(budget, cancel)
-                    .with_lazy(lazy)
-                    .with_filters(filters);
+                let mut guard = Guard::with_cancel(budget, cancel).with_lazy(lazy);
                 if let Some(r) = &reg {
                     if let Some(t) = tracer {
                         r.set_tracer(t);
@@ -876,7 +862,7 @@ fn main() -> ExitCode {
                  [--job <id>] [--metrics-dir <dir>] [--dir <journal-dir>] \
                  [--stats] [--metrics <file>] [--trace-out <file>] \
                  [--flame-out <file>] [--progress] [--no-op-cache] \
-                 [--no-lazy] [--no-filters] [--cache-bytes <n>]";
+                 [--no-lazy] [--cache-bytes <n>]";
     let budget = match extract_budget(&mut args) {
         Ok(b) => b,
         Err(e) => return fail(format!("{e}\n{usage}")),
@@ -887,7 +873,6 @@ fn main() -> ExitCode {
     };
     let no_op_cache = extract_no_op_cache(&mut args);
     let no_lazy = extract_no_lazy(&mut args);
-    let no_filters = extract_no_filters(&mut args);
     let cache_bytes = match extract_value_flag(&mut args, "--cache-bytes") {
         Ok(None) => None,
         Ok(Some(raw)) => match raw.parse::<usize>() {
@@ -947,9 +932,7 @@ fn main() -> ExitCode {
     // half-flushed sinks. Serve mode reads it as the drain trigger.
     let cancel = CancelToken::new();
     sig::install(cancel.clone());
-    let mut guard = Guard::with_cancel(budget.clone(), cancel.clone())
-        .with_lazy(!no_lazy)
-        .with_filters(!no_filters);
+    let mut guard = Guard::with_cancel(budget.clone(), cancel.clone()).with_lazy(!no_lazy);
     if let Some(reg) = &registry {
         guard = guard.with_metrics(reg.clone());
     }
@@ -979,6 +962,9 @@ fn main() -> ExitCode {
                 Ok(f) => f,
                 Err(e) => return fail(format!("{e}\n{usage}")),
             };
+            if let Err(e) = reject_unknown_flags(&args) {
+                return fail(format!("{e}\n{usage}"));
+            }
             let mut checks = Vec::new();
             if let Some(path) = &manifest {
                 let text = match std::fs::read_to_string(path) {
@@ -1016,7 +1002,6 @@ fn main() -> ExitCode {
                     budget: budget.clone(),
                     cancel: cancel.clone(),
                     lazy: !no_lazy,
-                    filters: !no_filters,
                     hists: hist_registry.clone(),
                 },
                 registry.as_ref(),
@@ -1063,7 +1048,6 @@ fn main() -> ExitCode {
                     cache: op_cache.clone(),
                     tracer: tracer.clone(),
                     no_lazy,
-                    no_filters,
                     metrics_dir,
                 };
                 let shutdown = cancel.clone();
@@ -1124,8 +1108,9 @@ fn main() -> ExitCode {
                 _ => fail("slo needs <baseline.json> --dir <journal-dir>"),
             }
         }
-        "check" => match (args.get(1), args.get(2)) {
-            (Some(path), Some(f)) => govern(|| cmd_check(path, f, &guard)),
+        "check" => match (reject_unknown_flags(&args), args.get(1), args.get(2)) {
+            (Err(e), _, _) => fail(format!("{e}\n{usage}")),
+            (Ok(()), Some(path), Some(f)) => govern(|| cmd_check(path, f, &guard)),
             _ => fail(usage),
         },
         "abstract" => match (args.get(1), args.get(2), keep_list(&args)) {

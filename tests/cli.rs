@@ -192,15 +192,7 @@ fn budget_flags_do_not_disturb_small_inputs() {
 
 #[test]
 fn stats_flag_prints_phase_table_on_stderr() {
-    // --no-filters: this test pins the lazy pipeline's instrumentation,
-    // which the pre-filter ladder would legitimately bypass on abp.
-    let out = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--stats",
-        "--no-filters",
-    ]);
+    let out = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver", "--stats"]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -239,7 +231,6 @@ fn stats_flag_prints_phase_table_on_stderr() {
         "[]<>deliver",
         "--stats",
         "--no-lazy",
-        "--no-filters",
     ]);
     assert_eq!(eager.status.code(), Some(0));
     assert_eq!(
@@ -256,42 +247,6 @@ fn stats_flag_prints_phase_table_on_stderr() {
 }
 
 #[test]
-fn filter_ladder_short_circuits_and_preserves_the_verdict() {
-    // With filters on (the default) the abp inclusion is settled by the
-    // simulation fast-accept before the exact core runs at all.
-    let filtered = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver", "--stats"]);
-    assert_eq!(filtered.status.code(), Some(0));
-    let err = stderr(&filtered);
-    assert!(err.contains("prefilter"), "no prefilter span row: {err}");
-    for counter in ["filter/hit", "filter/sim/hit"] {
-        assert!(err.contains(counter), "no {counter} row in stderr: {err}");
-    }
-    assert!(
-        err.contains("filter hit-rate"),
-        "no hit-rate headline: {err}"
-    );
-    assert!(
-        !err.contains("lazy_inclusion"),
-        "ladder hit must bypass the exact search: {err}"
-    );
-    // The verdict (and everything else on stdout) is byte-identical with
-    // the ladder disabled.
-    let unfiltered = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--no-filters",
-    ]);
-    assert_eq!(unfiltered.status.code(), Some(0));
-    let plain = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver"]);
-    assert_eq!(
-        stdout(&plain),
-        stdout(&unfiltered),
-        "--no-filters must not change the report"
-    );
-}
-
-#[test]
 fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
     let dir = std::env::temp_dir().join("rlcheck-cli-metrics");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -300,7 +255,6 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
         "check",
         "examples/systems/abp.ts",
         "[]<>deliver",
-        "--no-filters",
         "--metrics",
         path.to_str().expect("utf-8 temp path"),
     ]);
@@ -389,7 +343,6 @@ fn budget_report_names_the_exhausted_phase() {
         "--max-states",
         "250",
         "--stats",
-        "--no-filters",
     ]);
     assert_eq!(lazy.status.code(), Some(3));
     let lerr = stderr(&lazy);
@@ -431,6 +384,45 @@ fn malformed_budget_flags_exit_2() {
         Some(2),
         "non-numeric value => usage error"
     );
+}
+
+#[test]
+fn unknown_flags_exit_2() {
+    // A misspelled budget flag used to be ignored, running with no budget,
+    // and a flag that no longer exists must not be accepted silently.
+    for flag in [&["--max-state", "1"][..], &["--no-filters"][..]] {
+        let mut args = vec!["check", "examples/systems/abp.ts", "[]<>deliver"];
+        args.extend_from_slice(flag);
+        let out = rlcheck(&args);
+        assert_eq!(out.status.code(), Some(2), "{flag:?} must be a usage error");
+        let err = stderr(&out);
+        assert!(err.contains("unknown flag"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
+    let out = rlcheck(&[
+        "batch",
+        "examples/systems/abp.ts",
+        "--formula",
+        "[]<>deliver",
+        "--max-state",
+        "1",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "batch rejects unknown flags too"
+    );
+}
+
+#[test]
+fn deep_formulas_exit_2_instead_of_overflowing() {
+    let parens = format!("{}deliver{}", "(".repeat(20_000), ")".repeat(20_000));
+    let nots = format!("{}deliver", "!".repeat(20_000));
+    for formula in [parens, nots] {
+        let out = rlcheck(&["check", "examples/systems/abp.ts", &formula]);
+        assert_eq!(out.status.code(), Some(2), "deep formula => parse error");
+        assert!(stderr(&out).contains("nests deeper"), "{}", stderr(&out));
+    }
 }
 
 #[test]

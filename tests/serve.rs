@@ -1032,14 +1032,13 @@ fn metrics_verb_emits_prometheus_exposition_and_jsonl() {
     assert_eq!(str_field(&m, "format"), "prometheus");
     let body = str_field(&m, "body");
     assert!(body.contains("rl_serve_submitted_total 1"), "{body}");
-    // The acceptance families: queue wait, job wall time, filter-stage
-    // latency, op cache probe (plus admission latency) — each a well-formed
-    // histogram with cumulative buckets closed by +Inf.
+    // The acceptance families: queue wait, job wall time, op cache probe
+    // (plus admission latency) — each a well-formed histogram with
+    // cumulative buckets closed by +Inf.
     for family in [
         "rl_serve_queue_wait_us",
         "rl_serve_job_wall_us",
         "rl_serve_admission_us",
-        "rl_filter_parikh_us",
         "rl_opcache_probe_us",
     ] {
         assert!(
@@ -1172,4 +1171,41 @@ fn misconfigured_knobs_warn_once_on_daemon_stderr() {
         1,
         "stderr: {err}"
     );
+}
+
+#[test]
+fn deep_formula_is_refused_while_siblings_finish() {
+    let mut d = start_daemon("deep", &["--jobs", "2"], &[]);
+    let mut c = connect(&d);
+    let abp = |formula: &str| {
+        submit_line(&[
+            ("path", s("examples/systems/abp.ts")),
+            ("formula", s(formula)),
+        ])
+    };
+    let sibling = c.request(&abp("[]<>deliver"));
+    assert!(bool_field(&sibling, "ok"), "{sibling:?}");
+    // A stack overflow cannot be contained per job, so a formula nested
+    // past the parser's limit is refused at submit, before any worker.
+    let deep = format!("{}deliver{}", "(".repeat(20_000), ")".repeat(20_000));
+    let r = c.request(&abp(&deep));
+    assert!(!bool_field(&r, "ok"), "{r:?}");
+    assert!(str_field(&r, "error").contains("nests deeper"), "{r:?}");
+    // A `!` chain exactly at the limit is checked on a worker like any
+    // other formula.
+    let at_limit = format!("{}deliver", "!".repeat(rl_logic::MAX_FORMULA_DEPTH));
+    let r = c.request(&abp(&at_limit));
+    assert!(bool_field(&r, "ok"), "{r:?}");
+    let done = c.wait_job(int_field(&r, "id"));
+    assert!(
+        matches!(int_field(&done, "code"), 0 | 1),
+        "at-limit formula must reach a verdict: {done:?}"
+    );
+    let done = c.wait_job(int_field(&sibling, "id"));
+    assert_eq!(int_field(&done, "code"), 0, "{done:?}");
+    let st = c.stats();
+    assert_eq!(int_field(&st, "completed"), 2);
+    assert_eq!(int_field(&st, "panicked"), 0);
+    c.shutdown();
+    assert_eq!(d.wait_exit(), 0);
 }
