@@ -315,10 +315,8 @@ impl GuardProbe {
 pub struct Guard {
     core: Arc<GuardCore>,
     metrics: Option<MetricsRegistry>,
-    hists: Option<HistogramRegistry>,
     op_cache: Option<OpCache>,
     pool: Option<Arc<Pool>>,
-    lazy: bool,
 }
 
 impl Guard {
@@ -338,10 +336,8 @@ impl Guard {
                 until_clock_check: AtomicU32::new(Self::CHECK_INTERVAL),
             }),
             metrics: None,
-            hists: None,
             op_cache: None,
             pool: None,
-            lazy: true,
         }
     }
 
@@ -363,31 +359,16 @@ impl Guard {
                 until_clock_check: AtomicU32::new(Self::CHECK_INTERVAL),
             }),
             metrics: None,
-            hists: None,
             op_cache: None,
             pool: None,
-            lazy: true,
         }
     }
 
-    /// Selects between the lazy fused decision pipeline (the default) and
-    /// the fully materializing one.
-    ///
-    /// With `lazy` on, the relative-liveness and relative-safety deciders
-    /// skip the subset constructions entirely: behaviors are taken as the
-    /// transition system's graph read with Büchi semantics, the Lemma 4.3
-    /// prefix inclusion runs as an antichain-pruned on-the-fly search (see
-    /// [`crate::lazy`]), and the Lemma 4.4 limit reuses the prefix NFA
-    /// verbatim. `with_lazy(false)` (the CLI's `--no-lazy`) restores the
-    /// materializing determinize → difference → emptiness pipeline.
-    pub fn with_lazy(mut self, lazy: bool) -> Guard {
-        self.lazy = lazy;
+    // A no-op: the lazy pipeline is the only one, and perfbench's tracer
+    // still calls this.
+    #[doc(hidden)]
+    pub fn with_lazy(self, _: bool) -> Guard {
         self
-    }
-
-    /// Whether the lazy fused pipeline is selected (see [`Guard::with_lazy`]).
-    pub fn lazy_enabled(&self) -> bool {
-        self.lazy
     }
 
     // A no-op: perfbench's tracer still calls it, and it configures nothing.
@@ -412,21 +393,11 @@ impl Guard {
         self.metrics.as_ref()
     }
 
-    /// Attaches a [`HistogramRegistry`]: latency-instrumented call sites
-    /// (the op cache's probes, and whatever else the embedding service
-    /// wires in) record percentile samples into it.
-    ///
-    /// Histograms are pure telemetry on a separate registry: they never
-    /// touch the metric counters, so the deterministic totals are
-    /// bit-for-bit identical with and without one attached.
-    pub fn with_histograms(mut self, hists: HistogramRegistry) -> Guard {
-        self.hists = Some(hists);
+    // A no-op: nothing records into a per-guard histogram registry, and
+    // perfbench's tracer still calls this.
+    #[doc(hidden)]
+    pub fn with_histograms(self, _: HistogramRegistry) -> Guard {
         self
-    }
-
-    /// The attached histogram registry, if any.
-    pub fn histograms(&self) -> Option<&HistogramRegistry> {
-        self.hists.as_ref()
     }
 
     /// Attaches an [`OpCache`]: guarded constructions memoize their results

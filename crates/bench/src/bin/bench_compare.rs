@@ -7,21 +7,18 @@
 //! bench_compare <baseline.json> <fresh.json>
 //! ```
 //!
-//! Four schemas are understood, matched on the documents' `schema` field
+//! Three schemas are understood, matched on the documents' `schema` field
 //! (baseline and fresh must agree):
 //!
 //! - `rl-bench-trajectory/v1` — per-phase pipeline totals. Deterministic
-//!   counters: `states`, `transitions`, `guard_charges`; wall clock:
+//!   counters: `states`, `transitions`, `guard_charges`, and the lazy
+//!   search's `lazy_expanded`, `lazy_subsumed`; wall clock:
 //!   `elapsed_us`; witness: `trace_counters_equal` (tracing must not move
 //!   the counters).
 //! - `rl-bench-par/v1` — jobs 1 vs jobs 4 wall clocks. Same deterministic
 //!   counters; wall clock: `jobs1_us`; witness: `counters_equal`. When
 //!   either document's `host_cpus` meta is below 4 a warning notes that
 //!   the recorded speedups measure coordination overhead, not scaling.
-//! - `rl-bench-lazy/v1` — fused-lazy vs materializing pipeline.
-//!   Deterministic counters: `lazy_states`, `eager_states`,
-//!   `lazy_expanded`, `lazy_subsumed`; wall clock: `lazy_jobs1_us`;
-//!   witness: `lazy_counters_equal` (thread-count independence).
 //! - `rl-bench-hist/v1` — percentile histograms attached vs detached.
 //!   Deterministic counters: `states`, `transitions`, `guard_charges`;
 //!   wall clock: `elapsed_us`; witness: `hist_counters_equal` (recording
@@ -68,7 +65,13 @@ struct Profile {
 fn profile(schema: &str) -> Option<Profile> {
     match schema {
         "rl-bench-trajectory/v1" => Some(Profile {
-            counters: &["states", "transitions", "guard_charges"],
+            counters: &[
+                "states",
+                "transitions",
+                "guard_charges",
+                "lazy_expanded",
+                "lazy_subsumed",
+            ],
             elapsed: "elapsed_us",
             witness: "trace_counters_equal",
             witness_label: "tracer left the deterministic counters untouched",
@@ -78,17 +81,6 @@ fn profile(schema: &str) -> Option<Profile> {
             elapsed: "jobs1_us",
             witness: "counters_equal",
             witness_label: "parallel counters matched sequential",
-        }),
-        "rl-bench-lazy/v1" => Some(Profile {
-            counters: &[
-                "lazy_states",
-                "eager_states",
-                "lazy_expanded",
-                "lazy_subsumed",
-            ],
-            elapsed: "lazy_jobs1_us",
-            witness: "lazy_counters_equal",
-            witness_label: "lazy counters thread-count independent",
         }),
         "rl-bench-hist/v1" => Some(Profile {
             counters: &["states", "transitions", "guard_charges"],
@@ -237,7 +229,7 @@ fn run(baseline_path: &str, fresh_path: &str) -> Result<ExitCode, String> {
             }
         }
         // The harness records whether the run's internal invariant held
-        // (tracing zero-cost, parallel/lazy counters bit-for-bit). A false
+        // (tracing zero-cost, parallel counters bit-for-bit). A false
         // witness is a hard failure. (Absent in pre-witness baselines.)
         match new.get(profile.witness) {
             Some(Json::Bool(true)) => {

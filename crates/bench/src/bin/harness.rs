@@ -2,11 +2,12 @@
 //!
 //! Usage: `cargo run --release -p rl-bench --bin harness [-- <experiment>]`
 //! where `<experiment>` is one of `fig2 fig3 fig4 scaling payoff hardness
-//! ltl fair prob trajectory par lazy hist all` (default `all`).
+//! ltl fair prob trajectory par hist all` (default `all`).
 //!
 //! `trajectory` additionally writes `BENCH_<date>.json` at the repository
 //! root: per-phase observability metrics (schema `rl-bench-trajectory/v1`)
-//! for every example system, including `needle24.ts` under a budget.
+//! for every example system, including `needle24.ts` under a budget, with
+//! the lazy search's `lazy/expanded` and `lazy/subsumed` counters.
 //! `--out <path>` redirects that JSON (used by the `bench_compare` CI job
 //! to produce a fresh run without clobbering the committed baseline), and
 //! `--jobs N` runs every case with an `N`-worker pool attached to the guard
@@ -20,11 +21,6 @@
 //! trajectory case timed at `--jobs 1` and `--jobs 4` side by side, with a
 //! `counters_equal` witness that the parallel kernels charged bit-for-bit
 //! the sequential totals.
-//!
-//! `lazy` writes `BENCH_<date>-lazy.json` (schema `rl-bench-lazy/v1`):
-//! every trajectory case checked with the lazy fused pipeline (the default)
-//! and with `--no-lazy` materialization side by side — expanded-state and
-//! wall-clock deltas, with needle24 as the headline case.
 //!
 //! `hist` writes `BENCH_<date>-hist.json` (schema `rl-bench-hist/v1`):
 //! every trajectory case run with the percentile histogram registry
@@ -394,21 +390,6 @@ fn today() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// Which pipeline variant a [`trajectory_case`] runs: worker count plus the
-/// lazy-search toggle (the `--jobs` and `--no-lazy` knobs of the CLI).
-#[derive(Clone, Copy)]
-struct Pipeline {
-    jobs: usize,
-    lazy: bool,
-}
-
-impl Pipeline {
-    /// The CLI's defaults at a given worker count: lazy on.
-    fn with_jobs(jobs: usize) -> Self {
-        Pipeline { jobs, lazy: true }
-    }
-}
-
 /// One trajectory case: the full `check` pipeline (classical, relative
 /// liveness, relative safety) on an example system under a metered guard.
 /// With a tracer the registry, pool, and op cache all record timeline
@@ -418,10 +399,9 @@ fn trajectory_case(
     file: &str,
     formula: &str,
     budget: Budget,
-    pipeline: Pipeline,
+    jobs: usize,
     tracer: Option<std::sync::Arc<rl_automata::Tracer>>,
 ) -> (String, MetricsRegistry) {
-    let Pipeline { jobs, lazy } = pipeline;
     let text = std::fs::read_to_string(format!("{root}/examples/systems/{file}"))
         .expect("example system exists");
     let ts = parse_system(&text).expect("example system parses");
@@ -439,7 +419,6 @@ fn trajectory_case(
         None => rl_automata::OpCache::new(),
     };
     let mut guard = Guard::new(budget)
-        .with_lazy(lazy)
         .with_metrics(registry.clone())
         .with_op_cache(cache);
     if jobs >= 2 {
@@ -500,14 +479,7 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
     };
     let mut rows = Vec::new();
     for (file, formula, budget) in cases {
-        let (outcome, registry) = trajectory_case(
-            root,
-            file,
-            formula,
-            budget.clone(),
-            Pipeline::with_jobs(jobs),
-            None,
-        );
+        let (outcome, registry) = trajectory_case(root, file, formula, budget.clone(), jobs, None);
         // Tracer-overhead guard: the same case with the event tracer
         // attached must charge bit-for-bit the same deterministic counters
         // — tracing is timeline-only by construction, and this is where
@@ -518,7 +490,7 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
             file,
             formula,
             budget,
-            Pipeline::with_jobs(jobs),
+            jobs,
             Some(std::sync::Arc::clone(&tracer)),
         );
         let trace_counters_equal =
@@ -550,6 +522,8 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
                 .field("transitions", registry.total(Metric::Transitions))
                 .field("guard_charges", registry.total(Metric::GuardCharges))
                 .field("cache_hits", registry.total(Metric::CacheHits))
+                .field("lazy_expanded", registry.counter("lazy/expanded").get())
+                .field("lazy_subsumed", registry.counter("lazy/subsumed").get())
                 .field(
                     "traced_elapsed_us",
                     traced_registry.elapsed().as_micros() as u64,
@@ -606,14 +580,8 @@ fn par(out_override: Option<&str>) {
         let timed = |jobs: usize| {
             let mut runs: Vec<(String, MetricsRegistry, u64)> = (0..3)
                 .map(|_| {
-                    let (outcome, reg) = trajectory_case(
-                        root,
-                        file,
-                        formula,
-                        budget.clone(),
-                        Pipeline::with_jobs(jobs),
-                        None,
-                    );
+                    let (outcome, reg) =
+                        trajectory_case(root, file, formula, budget.clone(), jobs, None);
                     let us = reg.elapsed().as_micros() as u64;
                     (outcome, reg, us)
                 })
@@ -677,126 +645,9 @@ fn par(out_override: Option<&str>) {
     println!();
 }
 
-/// Lazy fused pipeline vs the materializing one: every trajectory case run
-/// with `Guard::with_lazy(true)` (jobs 1 and 4) and `with_lazy(false)`
-/// (jobs 1) side by side. Writes `BENCH_<date>-lazy.json` (schema
-/// `rl-bench-lazy/v1`): the deterministic expanded-state delta
-/// (`eager_states` vs `lazy_expanded`) and the elapsed delta, with the
-/// needle24 case as the headline — eager exhausts its budget in the subset
-/// construction, the fused antichain search decides it in a few dozen
-/// expansions.
-fn lazy_experiment(out_override: Option<&str>) {
-    println!("== E19 — lazy fused pipeline vs materializing ==");
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    println!(
-        "{:<16} {:>12} {:>12} {:>10} {:>10} {:>10}   outcome (lazy | eager)",
-        "system", "lazy-ms", "eager-ms", "expanded", "subsumed", "eager-st"
-    );
-    let counters = |r: &MetricsRegistry| {
-        [
-            r.total(Metric::States),
-            r.total(Metric::Transitions),
-            r.total(Metric::GuardCharges),
-            r.counter("lazy/expanded").get(),
-            r.counter("lazy/subsumed").get(),
-        ]
-    };
-    let mut rows = Vec::new();
-    for (file, formula, budget) in trajectory_cases() {
-        let lazy_pipeline = |jobs| Pipeline { jobs, lazy: true };
-        let (lazy_outcome, lazy_reg) =
-            trajectory_case(root, file, formula, budget.clone(), lazy_pipeline(1), None);
-        let lazy_us = lazy_reg.elapsed().as_micros() as u64;
-        let (lazy4_outcome, lazy4_reg) =
-            trajectory_case(root, file, formula, budget.clone(), lazy_pipeline(4), None);
-        let lazy4_us = lazy4_reg.elapsed().as_micros() as u64;
-        let eager_pipeline = Pipeline {
-            jobs: 1,
-            lazy: false,
-        };
-        let (eager_outcome, eager_reg) =
-            trajectory_case(root, file, formula, budget, eager_pipeline, None);
-        let eager_us = eager_reg.elapsed().as_micros() as u64;
-        // PR-4 discipline carried into the fused search: the lazy counters
-        // (including `lazy/expanded` and `lazy/subsumed`) are bit-for-bit
-        // identical at any thread count.
-        let lazy_counters_equal =
-            counters(&lazy_reg) == counters(&lazy4_reg) && lazy_outcome == lazy4_outcome;
-        assert!(
-            lazy_counters_equal,
-            "{file}: lazy counters diverged between jobs 1 and 4 \
-             ({:?} vs {:?})",
-            counters(&lazy_reg),
-            counters(&lazy4_reg)
-        );
-        let [lazy_states, _, _, expanded, subsumed] = counters(&lazy_reg);
-        let eager_states = eager_reg.total(Metric::States);
-        // Expanded-state delta: nodes the fused search admitted vs states
-        // the materializing pipeline charged before finishing (or before
-        // its budget tripped, for needle24).
-        let expanded_ratio = eager_states as f64 / expanded.max(1) as f64;
-        println!(
-            "{:<16} {:>12.2} {:>12.2} {:>10} {:>10} {:>10}   {} | {}",
-            file,
-            lazy_us as f64 / 1_000.0,
-            eager_us as f64 / 1_000.0,
-            expanded,
-            subsumed,
-            eager_states,
-            lazy_outcome,
-            eager_outcome
-        );
-        if file == "needle24.ts" {
-            // The acceptance headline: the antichain search must beat the
-            // subset construction's state count by at least 5x.
-            assert!(
-                eager_states >= 5 * expanded.max(1),
-                "needle24: expanded-state drop below 5x \
-                 (eager {eager_states}, lazy expanded {expanded})"
-            );
-        }
-        rows.push(
-            ObjBuilder::new()
-                .field("system", file)
-                .field("formula", formula)
-                .field("lazy_outcome", lazy_outcome)
-                .field("eager_outcome", eager_outcome)
-                .field("lazy_expanded", expanded)
-                .field("lazy_subsumed", subsumed)
-                .field("lazy_states", lazy_states)
-                .field("eager_states", eager_states)
-                .field("expanded_ratio", expanded_ratio)
-                .field("lazy_jobs1_us", lazy_us)
-                .field("lazy_jobs4_us", lazy4_us)
-                .field("eager_us", eager_us)
-                .field("lazy_counters_equal", lazy_counters_equal)
-                .build(),
-        );
-    }
-    let date = today();
-    let doc = ObjBuilder::new()
-        .field("schema", "rl-bench-lazy/v1")
-        .field("date", date.as_str())
-        .field(
-            "note",
-            "expanded_ratio = eager_states / lazy_expanded; needle24 is the \
-             headline (eager exhausts its budget in the subset construction)",
-        )
-        .field("cases", Json::Arr(rows))
-        .build();
-    let path = match out_override {
-        Some(p) => p.to_owned(),
-        None => format!("{root}/BENCH_{date}-lazy.json"),
-    };
-    let text = rl_json::to_string_pretty(&doc).expect("lazy document serializes");
-    std::fs::write(&path, text + "\n").expect("output path is writable");
-    println!("wrote {path}");
-    println!();
-}
-
 /// One percentile-instrumented case: the same pipeline as
 /// [`trajectory_case`] with a [`rl_automata::HistogramRegistry`] attached
-/// to the guard, the op cache, and (at `jobs >= 2`) the pool, so cache
+/// to the op cache and (at `jobs >= 2`) the pool, so cache
 /// probe/lock waits and steal/park durations record. Returns the registry
 /// totals plus the histogram snapshot.
 fn hist_case(
@@ -821,9 +672,7 @@ fn hist_case(
     let cache = rl_automata::OpCache::new();
     cache.set_histograms(hists.clone());
     let mut guard = Guard::new(budget)
-        .with_lazy(true)
         .with_metrics(registry.clone())
-        .with_histograms(hists.clone())
         .with_op_cache(cache);
     if jobs >= 2 {
         let pool = std::sync::Arc::new(rl_automata::Pool::with_tracer(jobs, None));
@@ -873,14 +722,8 @@ fn hist_experiment(out_override: Option<&str>) {
     );
     let mut rows = Vec::new();
     for (file, formula, budget) in trajectory_cases() {
-        let (plain_outcome, plain_reg) = trajectory_case(
-            root,
-            file,
-            formula,
-            budget.clone(),
-            Pipeline::with_jobs(1),
-            None,
-        );
+        let (plain_outcome, plain_reg) =
+            trajectory_case(root, file, formula, budget.clone(), 1, None);
         let (outcome, reg, hists) = hist_case(root, file, formula, budget, 1);
         let hist_counters_equal = totals(&plain_reg) == totals(&reg) && plain_outcome == outcome;
         assert!(
@@ -991,7 +834,6 @@ fn main() {
         "prob" => prob(),
         "trajectory" => trajectory(out.as_deref(), jobs),
         "par" => par(out.as_deref()),
-        "lazy" => lazy_experiment(out.as_deref()),
         "hist" => hist_experiment(out.as_deref()),
         "all" => {
             fig2();
@@ -1005,14 +847,12 @@ fn main() {
             prob();
             trajectory(out.as_deref(), jobs);
             par(None);
-            lazy_experiment(None);
             hist_experiment(None);
         }
         other => {
             eprintln!(
                 "unknown experiment {other:?}; expected one of \
-                 fig2 fig3 fig4 scaling payoff hardness ltl fair prob trajectory par lazy \
-                 hist all"
+                 fig2 fig3 fig4 scaling payoff hardness ltl fair prob trajectory par hist all"
             );
             std::process::exit(2);
         }

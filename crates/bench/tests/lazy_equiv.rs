@@ -1,11 +1,12 @@
-//! Differential tests pinning the lazy fused pipeline to the materializing
-//! one: on the shipped trajectory fixtures and on random machines, the
-//! verdicts of `satisfies`/`is_relative_liveness`/`is_relative_safety`
-//! must be identical with `Guard::with_lazy(true)` (the default) and
-//! `with_lazy(false)` (the CLI's `--no-lazy`), at jobs 1 and 4, with and
-//! without the op cache — and every witness either path produces must be
-//! *semantically valid* (witnesses may differ in tie-break between the
-//! search orders, so validity, not equality, is what is pinned).
+//! Differential tests pinning the lazy fused pipeline to an eager oracle
+//! built from the public materializing kernels (subset construction,
+//! machine closure, `limit_of_dfa`): on the shipped trajectory fixtures
+//! and on random machines, the verdicts of `satisfies`/
+//! `is_relative_liveness`/`is_relative_safety` must match the oracle's at
+//! jobs 1 and 4, with and without the op cache — and every witness either
+//! side produces must be *semantically valid* (witnesses may differ in
+//! tie-break between the search orders, so validity, not equality, is
+//! what is pinned).
 
 use std::sync::Arc;
 
@@ -16,8 +17,11 @@ use rl_automata::{
     Symbol, TransitionSystem, Word,
 };
 use rl_bench::random_system;
-use rl_buchi::{behaviors_of_ts_with, UpWord};
-use rl_core::{is_relative_liveness_with, is_relative_safety_with, satisfies_with, Property};
+use rl_buchi::{behaviors_of_ts_with, limit_of_dfa, limit_of_regular, UpWord};
+use rl_core::{
+    is_machine_closed, is_relative_liveness_with, is_relative_safety_with, satisfies,
+    satisfies_with, Property,
+};
 use rl_logic::parse;
 
 const SIGMA2: [&str; 2] = ["a", "b"];
@@ -69,7 +73,7 @@ proptest! {
 }
 
 /// One full check (behaviors → classical → rel-live → rel-safe) of a
-/// formula against a transition system under a configured guard.
+/// formula against a transition system.
 struct Run {
     sat: bool,
     live: bool,
@@ -82,10 +86,12 @@ struct Run {
     counters: (u64, u64, u64, u64, u64),
 }
 
-fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool, jobs: usize, cache: bool) -> Run {
+/// The lazy pipeline under a metered guard with `jobs` workers and, when
+/// `cache` is set, an op cache.
+fn run_check(ts: &TransitionSystem, formula: &str, jobs: usize, cache: bool) -> Run {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let reg = MetricsRegistry::new();
-    let mut guard = Guard::unlimited().with_lazy(lazy).with_metrics(reg.clone());
+    let mut guard = Guard::unlimited().with_metrics(reg.clone());
     if cache {
         guard = guard.with_op_cache(OpCache::new());
     }
@@ -113,8 +119,40 @@ fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool, jobs: usize, cach
     }
 }
 
+/// The eager oracle: behaviors by subset construction
+/// (`limit_of_regular`), Lemma 4.3 as machine closure of the determinized
+/// prefix automata, and Lemma 4.4 with `lim(pre(L ∩ P))` taken on the
+/// determinized prefix automaton (`limit_of_dfa`), then `∩ L`, `∩ ¬P` and
+/// emptiness. Machine closure names no doomed prefix, and the oracle runs
+/// unmetered, so `doomed` is `None` and the counters are zero.
+fn eager_reference(ts: &TransitionSystem, formula: &str) -> Run {
+    let prop = Property::formula(parse(formula).expect("formula parses"));
+    let beh = limit_of_regular(&ts.to_nfa());
+    let p = prop.to_buchi(beh.alphabet()).expect("property to Büchi");
+    let both = beh.intersection(&p).expect("L ∩ P");
+    let sat = satisfies(&beh, &prop).expect("satisfies");
+    let live = is_machine_closed(&beh, &both).expect("machine closure");
+    let neg = prop
+        .negation_to_buchi(beh.alphabet())
+        .expect("negation to Büchi");
+    let escape = beh
+        .intersection(&limit_of_dfa(&both.prefix_nfa().determinize()))
+        .and_then(|b| b.intersection(&neg))
+        .expect("L ∩ lim(pre(L ∩ P)) ∩ ¬P")
+        .accepted_upword();
+    Run {
+        sat: sat.holds,
+        live,
+        safe: escape.is_none(),
+        counterexample: sat.counterexample,
+        doomed: None,
+        escape,
+        counters: (0, 0, 0, 0, 0),
+    }
+}
+
 /// Semantic validity of the witnesses a run produced, against the system's
-/// behaviors and the property — independent of which pipeline found them.
+/// behaviors and the property — independent of which side found them.
 fn assert_witnesses_valid(ts: &TransitionSystem, formula: &str, run: &Run) {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let guard = Guard::unlimited();
@@ -144,8 +182,8 @@ fn assert_witnesses_valid(ts: &TransitionSystem, formula: &str, run: &Run) {
     }
 }
 
-/// Compares a lazy run against the eager reference: the three verdict bits
-/// must agree, and both runs' witnesses must be valid.
+/// Compares a lazy run against the eager oracle: the three verdict bits
+/// must agree, and both sides' witnesses must be valid.
 fn assert_equivalent(ts: &TransitionSystem, formula: &str, lazy: &Run, eager: &Run) {
     assert_eq!(lazy.sat, eager.sat, "classical verdict differs ({formula})");
     assert_eq!(
@@ -168,8 +206,9 @@ fn fixture(file: &str) -> TransitionSystem {
 }
 
 /// The shipped trajectory fixtures plus `filter_sim.ts` (minus needle24,
-/// whose eager run is the point of the lazy pipeline — it gets its own test
-/// below — and the other `filter_*` fixtures, whose eager runs take seconds).
+/// whose subset construction the oracle cannot afford — it gets its own
+/// test below — and the other `filter_*` fixtures, whose eager runs take
+/// seconds).
 const FIXTURES: [(&str, &str); 5] = [
     ("abp.ts", "[]<>deliver"),
     ("clock.ts", "[]<>tick"),
@@ -182,10 +221,10 @@ const FIXTURES: [(&str, &str); 5] = [
 fn trajectory_fixtures_agree_across_pipelines() {
     for (file, formula) in FIXTURES {
         let ts = fixture(file);
-        let eager = run_check(&ts, formula, false, 1, true);
+        let eager = eager_reference(&ts, formula);
         for jobs in [1, 4] {
             for cache in [true, false] {
-                let lazy = run_check(&ts, formula, true, jobs, cache);
+                let lazy = run_check(&ts, formula, jobs, cache);
                 assert_equivalent(&ts, formula, &lazy, &eager);
             }
         }
@@ -200,8 +239,8 @@ fn lazy_counters_are_thread_count_independent() {
     // parallel threshold).
     for (file, formula) in [("abp.ts", "[]<>deliver"), ("needle24.ts", "[]<>a")] {
         let ts = fixture(file);
-        let j1 = run_check(&ts, formula, true, 1, true);
-        let j4 = run_check(&ts, formula, true, 4, true);
+        let j1 = run_check(&ts, formula, 1, true);
+        let j4 = run_check(&ts, formula, 4, true);
         assert_eq!(j1.counters, j4.counters, "{file}");
         assert_eq!(j1.sat, j4.sat);
         assert_eq!(j1.live, j4.live);
@@ -213,11 +252,11 @@ fn lazy_counters_are_thread_count_independent() {
 
 #[test]
 fn needle24_is_feasible_only_lazily() {
-    // The subset construction the eager path cannot avoid needs 2^24
+    // The subset construction the eager oracle cannot avoid needs 2^24
     // states on this fixture; the fused search with retro-pruned antichain
     // subsumption decides it in a few dozen expansions.
     let ts = fixture("needle24.ts");
-    let lazy = run_check(&ts, "[]<>a", true, 1, true);
+    let lazy = run_check(&ts, "[]<>a", 1, true);
     assert!(lazy.live, "needle24 is relative-live for []<>a");
     assert!(!lazy.sat && !lazy.safe);
     assert_witnesses_valid(&ts, "[]<>a", &lazy);
@@ -231,7 +270,7 @@ fn needle24_is_feasible_only_lazily() {
 
 #[test]
 fn filter_fixtures_fail_rel_live_lazily() {
-    // The eager pipeline takes seconds on these fixtures, so only the lazy
+    // The eager oracle takes seconds on these fixtures, so only the lazy
     // verdict is pinned: `[]<>a` is not relative-live on any of them, the
     // doomed prefix replays, and the thread count changes nothing.
     for file in [
@@ -240,11 +279,11 @@ fn filter_fixtures_fail_rel_live_lazily() {
         "filter_fallthrough.ts",
     ] {
         let ts = fixture(file);
-        let j1 = run_check(&ts, "[]<>a", true, 1, true);
+        let j1 = run_check(&ts, "[]<>a", 1, true);
         assert!(!j1.live, "{file}: []<>a must not be relative-live");
         assert!(j1.doomed.is_some(), "{file}: no doomed prefix");
         assert_witnesses_valid(&ts, "[]<>a", &j1);
-        let j4 = run_check(&ts, "[]<>a", true, 4, true);
+        let j4 = run_check(&ts, "[]<>a", 4, true);
         assert_eq!(j1.live, j4.live, "{file}");
         assert_eq!(j1.doomed, j4.doomed, "{file}");
         assert_eq!(j1.counters, j4.counters, "{file}");
@@ -254,8 +293,8 @@ fn filter_fixtures_fail_rel_live_lazily() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random systems: the full three-decider pipeline agrees between the
-    /// lazy and materializing paths, and witnesses stay valid.
+    /// Random systems: the full three-decider pipeline agrees with the
+    /// eager oracle, and witnesses stay valid.
     #[test]
     fn random_systems_agree_across_pipelines(
         seed in 0u64..10_000,
@@ -264,16 +303,16 @@ proptest! {
         formula in proptest::sample::select(&["[]<>t0", "<>t1", "[]t0", "[]<>t1"][..]),
     ) {
         let ts = random_system(seed, n, 2, density);
-        let lazy = run_check(&ts, formula, true, 1, true);
-        let eager = run_check(&ts, formula, false, 1, false);
+        let lazy = run_check(&ts, formula, 1, true);
+        let eager = eager_reference(&ts, formula);
         assert_equivalent(&ts, formula, &lazy, &eager);
         // The pool changes nothing at all; dropping the op cache changes
         // neither verdicts nor witnesses (only the cache-hit accounting).
-        let lazy4 = run_check(&ts, formula, true, 4, true);
+        let lazy4 = run_check(&ts, formula, 4, true);
         prop_assert_eq!(lazy.live, lazy4.live);
         prop_assert_eq!(&lazy.doomed, &lazy4.doomed);
         prop_assert_eq!(lazy.counters, lazy4.counters);
-        let uncached = run_check(&ts, formula, true, 1, false);
+        let uncached = run_check(&ts, formula, 1, false);
         prop_assert_eq!(lazy.live, uncached.live);
         prop_assert_eq!(&lazy.doomed, &uncached.doomed);
         prop_assert_eq!(&lazy.escape, &uncached.escape);

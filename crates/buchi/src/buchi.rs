@@ -230,12 +230,28 @@ impl Buchi {
 
     /// Whether the accepted ω-language is empty.
     pub fn is_empty_language(&self) -> bool {
-        emptiness::accepting_lasso(self).is_none()
+        self.accepted_upword().is_none()
     }
 
     /// An accepted ultimately periodic word, when the language is non-empty.
     pub fn accepted_upword(&self) -> Option<UpWord> {
-        emptiness::accepting_lasso(self)
+        self.accepted_upword_with(&Guard::unlimited())
+            .expect("an unlimited guard never trips")
+    }
+
+    /// [`Buchi::accepted_upword`] under a resource [`Guard`], in an
+    /// `emptiness` span. The search charges nothing (it builds no
+    /// automaton) but polls the guard's deadline and cancel token every
+    /// [`Guard::CHECK_INTERVAL`] visited nodes, so `--timeout` and
+    /// cancellation hold on large products.
+    ///
+    /// # Errors
+    ///
+    /// Returns a budget error when the deadline passes, or a cancellation
+    /// error when the guard's token is cancelled.
+    pub fn accepted_upword_with(&self, guard: &Guard) -> Result<Option<UpWord>, AutomataError> {
+        let _span = guard.span("emptiness");
+        emptiness::accepting_lasso(self, guard)
     }
 
     /// Whether the automaton accepts the ultimately periodic word `w`.
@@ -293,7 +309,10 @@ impl Buchi {
             }
         }
         // States inside accepting cycles (within the reachable part).
-        let core = emptiness::accepting_cycle_states(self, &reach);
+        let unlimited = Guard::unlimited();
+        let core =
+            emptiness::accepting_cycle_states(self, &reach, &mut emptiness::Poll::new(&unlimited))
+                .expect("an unlimited guard never trips");
         // Backward reachability from the core.
         let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
         for (p, _, q) in self.transitions() {

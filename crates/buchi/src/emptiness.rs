@@ -3,15 +3,45 @@
 
 use std::collections::VecDeque;
 
-use rl_automata::{StateId, Symbol};
+use rl_automata::{AutomataError, Guard, StateId, Symbol};
 
 use crate::buchi::Buchi;
 use crate::upword::UpWord;
 
+/// Counts visited nodes and polls a guard's deadline and cancel token every
+/// [`Guard::CHECK_INTERVAL`] of them. It polls with `check_now`, not `tick`:
+/// a visit is not a charge, so the guard's counters do not move.
+pub(crate) struct Poll<'g> {
+    guard: &'g Guard,
+    left: u32,
+}
+
+impl<'g> Poll<'g> {
+    pub(crate) fn new(guard: &'g Guard) -> Poll<'g> {
+        Poll {
+            guard,
+            left: Guard::CHECK_INTERVAL,
+        }
+    }
+
+    fn visit(&mut self) -> Result<(), AutomataError> {
+        self.left -= 1;
+        if self.left > 0 {
+            return Ok(());
+        }
+        self.left = Guard::CHECK_INTERVAL;
+        self.guard.check_now()
+    }
+}
+
 /// Iterative Tarjan SCC. Returns `comp[v]` = component id (ids are in
 /// reverse topological order of discovery) for all `n` nodes of the graph
-/// given by `succ`.
-fn tarjan(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
+/// given by `succ`, polling `poll` once per discovered node.
+fn tarjan(
+    n: usize,
+    succ: &dyn Fn(usize) -> Vec<usize>,
+    poll: &mut Poll,
+) -> Result<Vec<usize>, AutomataError> {
     const UNSET: usize = usize::MAX;
     let mut index = vec![UNSET; n];
     let mut low = vec![0usize; n];
@@ -26,6 +56,7 @@ fn tarjan(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
         if index[root] != UNSET {
             continue;
         }
+        poll.visit()?;
         let mut call: Vec<(usize, Vec<usize>, usize)> = vec![(root, succ(root), 0)];
         index[root] = next_index;
         low[root] = next_index;
@@ -38,6 +69,7 @@ fn tarjan(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
                 let w = kids[i];
                 i += 1;
                 if index[w] == UNSET {
+                    poll.visit()?;
                     index[w] = next_index;
                     low[w] = next_index;
                     next_index += 1;
@@ -71,13 +103,17 @@ fn tarjan(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
             }
         }
     }
-    comp
+    Ok(comp)
 }
 
 /// Marks the states of `b` that lie on an *accepting cycle*: a cycle (within
 /// the states marked reachable in `reach`) whose SCC contains an accepting
 /// state. These are the recurrence cores of accepting runs.
-pub(crate) fn accepting_cycle_states(b: &Buchi, reach: &[bool]) -> Vec<bool> {
+pub(crate) fn accepting_cycle_states(
+    b: &Buchi,
+    reach: &[bool],
+    poll: &mut Poll,
+) -> Result<Vec<bool>, AutomataError> {
     let n = b.state_count();
     let succ = |v: usize| -> Vec<usize> {
         if !reach[v] {
@@ -95,7 +131,7 @@ pub(crate) fn accepting_cycle_states(b: &Buchi, reach: &[bool]) -> Vec<bool> {
         out.dedup();
         out
     };
-    let comp = tarjan(n, &succ);
+    let comp = tarjan(n, &succ, poll)?;
     let ncomp = comp
         .iter()
         .filter(|&&c| c != usize::MAX)
@@ -109,6 +145,7 @@ pub(crate) fn accepting_cycle_states(b: &Buchi, reach: &[bool]) -> Vec<bool> {
         if !reach[v] {
             continue;
         }
+        poll.visit()?;
         if b.is_accepting(v) {
             has_acc[comp[v]] = true;
         }
@@ -118,14 +155,17 @@ pub(crate) fn accepting_cycle_states(b: &Buchi, reach: &[bool]) -> Vec<bool> {
             }
         }
     }
-    (0..n)
+    Ok((0..n)
         .map(|v| reach[v] && cyclic[comp[v]] && has_acc[comp[v]])
-        .collect()
+        .collect())
 }
 
 /// Finds an accepting lasso of `b`: an ultimately periodic word `u·v^ω`
-/// accepted by `b`, or `None` when `L(b) = ∅`.
-pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
+/// accepted by `b`, or `None` when `L(b) = ∅`. Polls `guard` every
+/// [`Guard::CHECK_INTERVAL`] visited nodes of each of its three graph
+/// walks: reachability, SCCs and the cycle search.
+pub(crate) fn accepting_lasso(b: &Buchi, guard: &Guard) -> Result<Option<UpWord>, AutomataError> {
+    let mut poll = Poll::new(guard);
     let n = b.state_count();
     let mut reach = vec![false; n];
     let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; n];
@@ -135,6 +175,7 @@ pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
         queue.push_back(q);
     }
     while let Some(p) = queue.pop_front() {
+        poll.visit()?;
         for a in b.alphabet().symbols() {
             for q in b.successors(p, a) {
                 if !reach[q] {
@@ -145,10 +186,12 @@ pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
             }
         }
     }
-    let core = accepting_cycle_states(b, &reach);
+    let core = accepting_cycle_states(b, &reach, &mut poll)?;
     // Pick an accepting state inside a cyclic accepting SCC (one must exist
     // inside the core: the SCC contains an accepting state by definition).
-    let target = (0..n).find(|&q| core[q] && b.is_accepting(q))?;
+    let Some(target) = (0..n).find(|&q| core[q] && b.is_accepting(q)) else {
+        return Ok(None);
+    };
     // Prefix: initial → target.
     let mut prefix = Vec::new();
     let mut cur = target;
@@ -168,9 +211,9 @@ pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
                 continue;
             }
             if q == target {
-                return Some(
+                return Ok(Some(
                     UpWord::new(prefix, vec![a]).expect("period of length 1 is non-empty"),
-                );
+                ));
             }
             if !seen[q] {
                 seen[q] = true;
@@ -180,6 +223,7 @@ pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
         }
     }
     while let Some(p) = queue.pop_front() {
+        poll.visit()?;
         for a in b.alphabet().symbols() {
             for q in b.successors(p, a) {
                 if !core[q] {
@@ -194,7 +238,7 @@ pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
                         cur = r;
                     }
                     labels.reverse();
-                    return Some(UpWord::new(prefix, labels).expect("non-empty cycle"));
+                    return Ok(Some(UpWord::new(prefix, labels).expect("non-empty cycle")));
                 }
                 if !seen[q] {
                     seen[q] = true;
@@ -248,7 +292,9 @@ pub(crate) fn accepts_upword(b: &Buchi, w: &UpWord) -> bool {
         }
         succ(v).into_iter().filter(|&u| reach[u]).collect()
     };
-    let comp = tarjan(total, &succ_reach);
+    let unlimited = Guard::unlimited();
+    let comp = tarjan(total, &succ_reach, &mut Poll::new(&unlimited))
+        .expect("an unlimited guard never trips");
     let ncomp = comp
         .iter()
         .filter(|&&c| c != usize::MAX)
@@ -281,7 +327,8 @@ mod tests {
     fn tarjan_finds_components() {
         // 0 → 1 → 2 → 0 (one SCC), 3 isolated, 2 → 3.
         let adj: Vec<Vec<usize>> = vec![vec![1], vec![2], vec![0, 3], vec![]];
-        let comp = tarjan(4, &|v| adj[v].clone());
+        let g = Guard::unlimited();
+        let comp = tarjan(4, &|v| adj[v].clone(), &mut Poll::new(&g)).unwrap();
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[0], comp[3]);
@@ -290,7 +337,8 @@ mod tests {
     #[test]
     fn tarjan_handles_self_loop() {
         let adj: Vec<Vec<usize>> = vec![vec![0], vec![]];
-        let comp = tarjan(2, &|v| adj[v].clone());
+        let g = Guard::unlimited();
+        let comp = tarjan(2, &|v| adj[v].clone(), &mut Poll::new(&g)).unwrap();
         assert_ne!(comp[0], comp[1]);
     }
 
@@ -301,7 +349,9 @@ mod tests {
         let y = ab.symbol("y").unwrap();
         // q0 --x--> q1(acc) --y--> q2 --x--> q1
         let b = Buchi::from_parts(ab, 3, [0], [1], [(0, x, 1), (1, y, 2), (2, x, 1)]).unwrap();
-        let w = accepting_lasso(&b).expect("nonempty");
+        let w = accepting_lasso(&b, &Guard::unlimited())
+            .unwrap()
+            .expect("nonempty");
         assert!(accepts_upword(&b, &w));
         assert_eq!(w.prefix(), &[x]);
         assert_eq!(w.period().len(), 2);
@@ -319,6 +369,27 @@ mod tests {
         assert!(!accepts_upword(
             &b,
             &UpWord::new(vec![x], vec![x, y]).unwrap()
+        ));
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_lasso_search() {
+        use rl_automata::Budget;
+        use std::time::Duration;
+        // A 10k-state chain closing into an accepting self-loop: every walk
+        // visits all of it, so a guard whose deadline has already passed
+        // must stop the search instead of returning a verdict.
+        let n = 10_000;
+        let ab = Alphabet::new(["x"]).unwrap();
+        let x = ab.symbol("x").unwrap();
+        let edges = (0..n - 1).map(|q| (q, x, q + 1)).chain([(n - 1, x, n - 1)]);
+        let b = Buchi::from_parts(ab, n, [0], [n - 1], edges).unwrap();
+        assert!(accepting_lasso(&b, &Guard::unlimited()).unwrap().is_some());
+        let expired = Guard::new(Budget::unlimited().with_deadline(Duration::ZERO));
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(matches!(
+            b.accepted_upword_with(&expired),
+            Err(AutomataError::BudgetExceeded { .. })
         ));
     }
 }

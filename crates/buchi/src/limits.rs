@@ -78,10 +78,9 @@ pub fn limit_of_regular_with(nfa: &Nfa, guard: &Guard) -> Result<Buchi, Automata
 /// `lim(L)` is the same graph read with Büchi semantics, and the
 /// exponential subset construction is skipped entirely.
 ///
-/// This is the limit constructor of the lazy fused pipeline
-/// ([`Guard::lazy_enabled`]); callers must uphold the all-states-accepting
-/// precondition (transition-system NFAs and [`Buchi::prefix_nfa`] outputs
-/// do by construction).
+/// This is the limit constructor of the lazy fused pipeline; callers must
+/// uphold the all-states-accepting precondition (transition-system NFAs
+/// and [`Buchi::prefix_nfa`] outputs do by construction).
 pub fn limit_of_prefix_closed(nfa: &Nfa) -> Buchi {
     debug_assert!(
         (0..nfa.state_count()).all(|q| nfa.is_accepting(q)),
@@ -94,16 +93,17 @@ pub fn limit_of_prefix_closed(nfa: &Nfa) -> Buchi {
 /// prefix-closed finite-word language (Definition 6.2 with `h = id`).
 ///
 /// Every state is accepting, so the behaviors are exactly the infinite runs;
-/// deadlocked branches contribute nothing (they admit no infinite run).
-/// Transition systems are deterministic-or-not; the limit is taken on the
-/// determinized language to stay faithful to the definition.
+/// deadlocked branches contribute nothing (they admit no infinite run). The
+/// NFA of a transition system is all-accepting and prefix-closed, so `lim`
+/// is its graph read with Büchi semantics (see [`limit_of_prefix_closed`])
+/// and no subset construction is needed, even for nondeterministic systems.
 pub fn behaviors_of_ts(ts: &TransitionSystem) -> Buchi {
-    limit_of_regular(&ts.to_nfa())
+    limit_of_prefix_closed(&ts.to_nfa())
 }
 
-/// [`behaviors_of_ts`] under a resource [`Guard`]: determinizing a
-/// nondeterministic transition system can blow up exponentially, so the
-/// subset construction is charged against the guard's budget.
+/// [`behaviors_of_ts`] under a resource [`Guard`]: the copied graph is
+/// charged state by state and transition by transition, so budgets and
+/// counters see it.
 ///
 /// # Errors
 ///
@@ -111,22 +111,14 @@ pub fn behaviors_of_ts(ts: &TransitionSystem) -> Buchi {
 pub fn behaviors_of_ts_with(ts: &TransitionSystem, guard: &Guard) -> Result<Buchi, AutomataError> {
     let _span = guard.span("behaviors");
     let nfa = ts.to_nfa();
-    if guard.lazy_enabled() {
-        // Lazy pipeline: a transition system's NFA is all-accepting and
-        // prefix-closed, so `lim` is the graph itself under Büchi semantics
-        // (see `limit_of_prefix_closed`) — the subset construction that
-        // dominates worst cases like needle24.ts is skipped. The copied
-        // graph is still charged so budgets and counters stay honest.
-        let _lim = guard.span("limit");
-        for _ in 0..nfa.state_count() {
-            guard.charge_state()?;
-        }
-        for _ in 0..nfa.transition_count() {
-            guard.charge_transition()?;
-        }
-        return Ok(limit_of_prefix_closed(&nfa));
+    let _lim = guard.span("limit");
+    for _ in 0..nfa.state_count() {
+        guard.charge_state()?;
     }
-    limit_of_regular_with(&nfa, guard)
+    for _ in 0..nfa.transition_count() {
+        guard.charge_transition()?;
+    }
+    Ok(limit_of_prefix_closed(&nfa))
 }
 
 #[cfg(test)]

@@ -9,12 +9,8 @@
 //! below additionally extract counterexamples: a non-extendable prefix for
 //! liveness, a limit behavior escaping `P` for safety.
 
-use rl_automata::{
-    dfa_included, dfa_included_with, nfa_included_lazy, Dfa, Guard, TransitionSystem, Word,
-};
-use rl_buchi::{
-    behaviors_of_ts, behaviors_of_ts_with, limit_of_dfa, limit_of_prefix_closed, Buchi, UpWord,
-};
+use rl_automata::{dfa_included, nfa_included_lazy, Guard, TransitionSystem, Word};
+use rl_buchi::{behaviors_of_ts, behaviors_of_ts_with, limit_of_prefix_closed, Buchi, UpWord};
 
 use crate::property::{CoreError, Property};
 
@@ -83,16 +79,13 @@ pub fn is_relative_liveness(
 
 /// [`is_relative_liveness`] under a resource [`Guard`].
 ///
-/// By default ([`Guard::lazy_enabled`]) the Lemma 4.3 inclusion
-/// `pre(L_ω) ⊆ pre(L_ω ∩ P)` runs as a fused on-the-fly search
-/// ([`nfa_included_lazy`]): no prefix automaton is determinized, frontier
-/// nodes dominated under antichain subsumption are pruned, and the search
-/// exits on the first doomed prefix. `Guard::with_lazy(false)` (the CLI's
-/// `--no-lazy`) restores the materializing pipeline: Büchi intersection,
-/// both prefix-automaton subset constructions, then the inclusion product.
-/// Either way every expansion is charged against the guard's budget; on
-/// exhaustion the decider returns a budget error with partial diagnostics
-/// instead of hanging.
+/// The Lemma 4.3 inclusion `pre(L_ω) ⊆ pre(L_ω ∩ P)` runs as a fused
+/// on-the-fly search ([`nfa_included_lazy`]): no prefix automaton is
+/// determinized, frontier nodes dominated under antichain subsumption are
+/// pruned, and the search exits on the first doomed prefix. Every
+/// expansion is charged against the guard's budget; on exhaustion the
+/// decider returns a budget error with partial diagnostics instead of
+/// hanging.
 ///
 /// # Errors
 ///
@@ -105,25 +98,12 @@ pub fn is_relative_liveness_with(
     let _span = guard.span("relative_liveness");
     let p = property.to_buchi(system.alphabet())?;
     let both = system.intersection_with(&p, guard)?;
-    let pre_l = system.prefix_nfa();
-    let pre_lp = both.prefix_nfa();
-    let doomed = if guard.lazy_enabled() {
-        // Both prefix NFAs are all-accepting (prefix-closed) by
-        // construction, so acceptance along the lazy product is simply
-        // run-set non-emptiness and the antichain search decides the
-        // inclusion without a single subset construction.
-        nfa_included_lazy(&pre_l, &pre_lp, guard)?
-    } else {
-        let pre_l_dfa = pre_l.determinize_with(guard)?;
-        let pre_lp_dfa = pre_lp.determinize_with(guard)?;
-        // Lemma 4.3: equality; pre(L∩P) ⊆ pre(L) always holds, so only
-        // the forward inclusion can fail.
-        debug_assert!(
-            dfa_included(&pre_lp_dfa, &pre_l_dfa).is_none(),
-            "pre(L ∩ P) ⊈ pre(L): construction bug"
-        );
-        dfa_included_with(&pre_l_dfa, &pre_lp_dfa, guard)?
-    };
+    // Both prefix NFAs are all-accepting (prefix-closed) by construction,
+    // so acceptance along the lazy product is simply run-set non-emptiness
+    // and the antichain search decides the inclusion without a single
+    // subset construction. Lemma 4.3 asks for equality, but
+    // pre(L∩P) ⊆ pre(L) always holds, so only this direction can fail.
+    let doomed = nfa_included_lazy(&system.prefix_nfa(), &both.prefix_nfa(), guard)?;
     Ok(RelativeLivenessVerdict {
         holds: doomed.is_none(),
         doomed_prefix: doomed,
@@ -163,15 +143,14 @@ pub fn is_relative_safety(
 
 /// [`is_relative_safety`] under a resource [`Guard`].
 ///
-/// By default ([`Guard::lazy_enabled`]) `lim(pre(L_ω ∩ P))` is taken
-/// directly on the nondeterministic prefix automaton
-/// ([`limit_of_prefix_closed`]): the prefix NFA is all-accepting and
-/// prefix-closed, so by König's lemma its limit is the same graph read
-/// with Büchi semantics and the subset construction is skipped — the whole
-/// decider becomes polynomial-size products plus one emptiness check.
-/// `Guard::with_lazy(false)` restores the determinizing pipeline. Either
-/// way the property complementation (for automaton-given properties) and
-/// all intersection products are charged against the guard's budget.
+/// `lim(pre(L_ω ∩ P))` is taken directly on the nondeterministic prefix
+/// automaton ([`limit_of_prefix_closed`]): the prefix NFA is all-accepting
+/// and prefix-closed, so by König's lemma its limit is the same graph read
+/// with Büchi semantics and no subset construction is needed — the whole
+/// decider is polynomial-size products plus one emptiness check. The
+/// property complementation (for automaton-given properties) and all
+/// intersection products are charged against the guard's budget, and the
+/// emptiness check polls its deadline and cancel token.
 ///
 /// # Errors
 ///
@@ -184,19 +163,13 @@ pub fn is_relative_safety_with(
     let _span = guard.span("relative_safety");
     let p = property.to_buchi(system.alphabet())?;
     let both = system.intersection_with(&p, guard)?;
-    let lim = if guard.lazy_enabled() {
-        limit_of_prefix_closed(&both.prefix_nfa())
-    } else {
-        // lim(pre(L ∩ P)) via the determinized prefix automaton.
-        let pre_lp: Dfa = both.prefix_nfa().determinize_with(guard)?;
-        limit_of_dfa(&pre_lp)
-    };
+    let lim = limit_of_prefix_closed(&both.prefix_nfa());
     // Violation: x ∈ L ∩ lim(pre(L∩P)) with x ∉ P.
     let neg = property.negation_to_buchi_with(system.alphabet(), guard)?;
     let bad = system
         .intersection_with(&lim, guard)?
         .intersection_with(&neg, guard)?;
-    let escape = bad.accepted_upword();
+    let escape = bad.accepted_upword_with(guard)?;
     Ok(RelativeSafetyVerdict {
         holds: escape.is_none(),
         escaping_behavior: escape,
@@ -219,7 +192,8 @@ pub fn satisfies(system: &Buchi, property: &Property) -> Result<SatisfactionVerd
 /// [`satisfies`] under a resource [`Guard`].
 ///
 /// The property complementation (for automaton-given properties) and the
-/// intersection product are charged against the guard's budget.
+/// intersection product are charged against the guard's budget, and the
+/// emptiness check polls its deadline and cancel token.
 ///
 /// # Errors
 ///
@@ -232,7 +206,7 @@ pub fn satisfies_with(
     let _span = guard.span("classical");
     let neg = property.negation_to_buchi_with(system.alphabet(), guard)?;
     let bad = system.intersection_with(&neg, guard)?;
-    let cex = bad.accepted_upword();
+    let cex = bad.accepted_upword_with(guard)?;
     Ok(SatisfactionVerdict {
         holds: cex.is_none(),
         counterexample: cex,

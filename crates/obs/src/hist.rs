@@ -124,17 +124,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Adds a detached snapshot into this histogram (bucket-wise), e.g. to
-    /// fold a finished job's shard into the server-global registry.
-    pub fn absorb(&self, snap: &HistogramSnapshot) {
-        for &(index, n) in &snap.buckets {
-            self.buckets[index.min(BUCKET_COUNT - 1)].fetch_add(n, Ordering::Relaxed);
-        }
-        self.count.fetch_add(snap.count, Ordering::Relaxed);
-        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
-        self.max.fetch_max(snap.max, Ordering::Relaxed);
-    }
-
     /// A detached copy of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets = self
@@ -372,15 +361,6 @@ impl HistogramRegistry {
             .collect()
     }
 
-    /// Folds a shard's snapshots into this registry by name (registering
-    /// names this registry has not seen). Used when a finished serve job's
-    /// per-job histograms merge into the server-global registry.
-    pub fn absorb(&self, shard: &[(String, HistogramSnapshot)]) {
-        for (name, snap) in shard {
-            self.hist(name).absorb(snap);
-        }
-    }
-
     /// Whether any histogram has recorded a sample.
     pub fn is_empty(&self) -> bool {
         self.inner
@@ -391,15 +371,12 @@ impl HistogramRegistry {
     }
 }
 
-/// One `hist` JSONL event: the wire form of a named (optionally per-job)
-/// cumulative snapshot, used by `rl-obs/v3` files and the serve telemetry
-/// stream. The snapshot's own fields (`count`/`sum`/`max`/`buckets`) are
-/// inlined, so [`HistogramSnapshot::from_json`] parses the event directly.
-pub fn hist_event_json(name: &str, job: Option<u64>, snap: &HistogramSnapshot) -> Json {
+/// One `hist` JSONL event: the wire form of a named cumulative snapshot,
+/// used by `rl-obs/v3` files and the serve `metrics` verb's JSONL format.
+/// The snapshot's own fields (`count`/`sum`/`max`/`buckets`) are inlined,
+/// so [`HistogramSnapshot::from_json`] parses the event directly.
+pub fn hist_event_json(name: &str, snap: &HistogramSnapshot) -> Json {
     let mut b = ObjBuilder::new().field("event", "hist").field("name", name);
-    if let Some(job) = job {
-        b = b.field("job", job);
-    }
     let Json::Obj(fields) = snap.to_json() else {
         unreachable!("snapshot serializes to an object");
     };
@@ -520,7 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_shares_by_name_and_absorbs_shards() {
+    fn registry_shares_histograms_by_name() {
         let reg = HistogramRegistry::new();
         assert!(reg.is_empty());
         reg.hist("a/x_us").record(10);
@@ -531,13 +508,6 @@ mod tests {
         assert_eq!(snap[0].0, "a/x_us");
         assert_eq!(snap[0].1.count, 2);
         assert_eq!(snap[1].0, "b/y_us");
-
-        let global = HistogramRegistry::new();
-        global.hist("a/x_us").record(1);
-        global.absorb(&snap);
-        let merged = global.snapshot();
-        assert_eq!(merged[0].1.count, 3);
-        assert_eq!(merged[1].1.count, 1);
     }
 
     #[test]

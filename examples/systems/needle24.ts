@@ -1,10 +1,14 @@
 # Worst-case input for the subset construction: the classical
 # "nth symbol from the end is an a" guessing automaton, n = 24.
 # The system itself has only n+1 states, but determinizing its prefix
-# language (which every relative-liveness check does) needs 2^24 subset
-# states. Use it to exercise rlcheck's --timeout / --max-states budgets:
+# language needs 2^24 subset states. `rlcheck check` never determinizes
+# it: the lazy antichain search decides '[]<>a' in 26 expansions and the
+# whole check charges ~18.6k states. The determinizing kernels behind
+# `abstract` and `simplicity` still pay the blow-up, so use it to exercise
+# their --timeout / --max-states budgets, and `check`'s with a tight cap:
 #
 #   rlcheck check examples/systems/needle24.ts '[]<>a' --max-states 10000 --timeout 5
+#   rlcheck simplicity examples/systems/needle24.ts --keep a --max-states 5000 --timeout 5
 #
 system
 alphabet: a b

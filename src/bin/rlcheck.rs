@@ -84,10 +84,6 @@
 //!                      frontier, budget fraction) while a check runs
 //! --no-op-cache        disable the automaton-operation memo cache that the
 //!                      deciders (and the jobs of a batch) share by default
-//! --no-lazy            opt out of the lazy fused pipeline: materialize the
-//!                      subset constructions and differences eagerly instead
-//!                      of exploring the on-the-fly product with antichain
-//!                      subsumption (verdicts are identical either way)
 //! --cache-bytes <n>    byte budget for that cache: resident entries are
 //!                      size-accounted and evicted cost-aware-LRU so the
 //!                      cache never holds more than <n> bytes (verdicts and
@@ -230,19 +226,6 @@ fn extract_no_op_cache(args: &mut Vec<String>) -> bool {
     disabled
 }
 
-/// Extracts `--no-lazy` from the argument list. The lazy fused pipeline
-/// (on-the-fly inclusion search with antichain subsumption) is on by
-/// default; this flag opts back into the eager materializing constructions
-/// (for debugging, differential testing, and apples-to-apples benchmarks).
-fn extract_no_lazy(args: &mut Vec<String>) -> bool {
-    let mut disabled = false;
-    while let Some(idx) = args.iter().position(|a| a == "--no-lazy") {
-        args.remove(idx);
-        disabled = true;
-    }
-    disabled
-}
-
 /// Extracts a `<flag> <value>` pair from the argument list (every
 /// occurrence; the last value wins).
 fn extract_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
@@ -305,17 +288,15 @@ fn parse_manifest(text: &str) -> Result<Vec<CheckSpec>, String> {
 /// an exit code, and (when observability is on) its metrics shard.
 type JobOutcome = (String, String, u8, Option<RegistrySnapshot>);
 
-/// The guard-shaping state every batch job starts from: the shared budget,
-/// the one cancel token, and the pipeline selection (`--no-lazy`).
+/// The guard-shaping state every batch job starts from: the shared budget
+/// and the one cancel token.
 struct GuardSeed {
     budget: Budget,
     cancel: CancelToken,
-    lazy: bool,
-    /// Shared percentile registry. Unlike the counter registry (sharded
-    /// per job and absorbed in submission order for determinism), the
-    /// histogram registry is attached directly: records are lock-free
-    /// atomic increments and quantiles are order-independent, so jobs can
-    /// share one set of bucket arrays.
+    /// Shared percentile registry for the batch pool. Unlike the counter
+    /// registry (sharded per job and absorbed in submission order for
+    /// determinism), it is attached directly: records are lock-free atomic
+    /// increments and quantiles are order-independent.
     hists: Option<HistogramRegistry>,
 }
 
@@ -347,8 +328,6 @@ fn cmd_batch(
         .map(|check| {
             let budget = seed.budget.clone();
             let cancel = seed.cancel.clone();
-            let lazy = seed.lazy;
-            let hists = seed.hists.clone();
             let cache = shared_cache.clone();
             let tracer = tracer.cloned();
             let finished = Arc::clone(&finished);
@@ -370,15 +349,12 @@ fn cmd_batch(
                 // sharded collector, so the job's span events land on the
                 // worker's own timeline track.
                 let reg = want_snapshots.then(MetricsRegistry::new);
-                let mut guard = Guard::with_cancel(budget, cancel).with_lazy(lazy);
+                let mut guard = Guard::with_cancel(budget, cancel);
                 if let Some(r) = &reg {
                     if let Some(t) = tracer {
                         r.set_tracer(t);
                     }
                     guard = guard.with_metrics(r.clone());
-                }
-                if let Some(h) = hists {
-                    guard = guard.with_histograms(h);
                 }
                 if let Some(cache) = cache {
                     guard = guard.with_op_cache(cache);
@@ -862,7 +838,7 @@ fn main() -> ExitCode {
                  [--job <id>] [--metrics-dir <dir>] [--dir <journal-dir>] \
                  [--stats] [--metrics <file>] [--trace-out <file>] \
                  [--flame-out <file>] [--progress] [--no-op-cache] \
-                 [--no-lazy] [--cache-bytes <n>]";
+                 [--cache-bytes <n>]";
     let budget = match extract_budget(&mut args) {
         Ok(b) => b,
         Err(e) => return fail(format!("{e}\n{usage}")),
@@ -872,7 +848,6 @@ fn main() -> ExitCode {
         Err(e) => return fail(format!("{e}\n{usage}")),
     };
     let no_op_cache = extract_no_op_cache(&mut args);
-    let no_lazy = extract_no_lazy(&mut args);
     let cache_bytes = match extract_value_flag(&mut args, "--cache-bytes") {
         Ok(None) => None,
         Ok(Some(raw)) => match raw.parse::<usize>() {
@@ -897,8 +872,9 @@ fn main() -> ExitCode {
         // record how the run was parallelized.
         reg.note_jobs(jobs);
     }
-    // Percentile telemetry rides the same opt-in: without a sink the guard's
-    // histogram hook stays `None` and the hot paths never call Instant::now.
+    // Percentile telemetry rides the same opt-in: without a sink the cache
+    // and pool histogram hooks stay `None` and the hot paths never call
+    // Instant::now.
     let hist_registry = obs.wants_registry().then(HistogramRegistry::new);
     // The event tracer exists only under --trace-out: without it the
     // registry keeps its Rc/Cell hot path and the pool and cache skip the
@@ -932,12 +908,9 @@ fn main() -> ExitCode {
     // half-flushed sinks. Serve mode reads it as the drain trigger.
     let cancel = CancelToken::new();
     sig::install(cancel.clone());
-    let mut guard = Guard::with_cancel(budget.clone(), cancel.clone()).with_lazy(!no_lazy);
+    let mut guard = Guard::with_cancel(budget.clone(), cancel.clone());
     if let Some(reg) = &registry {
         guard = guard.with_metrics(reg.clone());
-    }
-    if let Some(h) = &hist_registry {
-        guard = guard.with_histograms(h.clone());
     }
     if let Some(cache) = &op_cache {
         guard = guard.with_op_cache(cache.clone());
@@ -1001,7 +974,6 @@ fn main() -> ExitCode {
                 GuardSeed {
                     budget: budget.clone(),
                     cancel: cancel.clone(),
-                    lazy: !no_lazy,
                     hists: hist_registry.clone(),
                 },
                 registry.as_ref(),
@@ -1039,6 +1011,9 @@ fn main() -> ExitCode {
                     Ok(d) => d,
                     Err(e) => return fail(format!("{e}\n{usage}")),
                 };
+                if let Err(e) = reject_unknown_flags(&args) {
+                    return fail(format!("{e}\n{usage}"));
+                }
                 let config = relative_liveness::serve::ServeConfig {
                     socket,
                     threads: jobs,
@@ -1047,7 +1022,6 @@ fn main() -> ExitCode {
                     queue_cap,
                     cache: op_cache.clone(),
                     tracer: tracer.clone(),
-                    no_lazy,
                     metrics_dir,
                 };
                 let shutdown = cancel.clone();

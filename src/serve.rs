@@ -12,8 +12,7 @@
 //!   README for examples.
 //! * **Percentile telemetry** — a service-global [`HistogramRegistry`]
 //!   records queue wait, job wall time, admission latency, subscriber
-//!   write stalls, cache probe/lock-wait and pool steal/park latencies,
-//!   plus every job's own histograms (absorbed at completion).
+//!   write stalls, cache probe/lock-wait and pool steal/park latencies.
 //!   The `metrics` verb exposes it as Prometheus text exposition (or
 //!   rl-obs/v3 JSONL), and `--metrics-dir` persists interval snapshots to
 //!   a rotating journal that `rlcheck report --dir` renders and
@@ -94,10 +93,6 @@ pub struct ServeConfig {
     pub cache: Option<OpCache>,
     /// Event-level tracer shared by the pool and the jobs (`--trace-out`).
     pub tracer: Option<Arc<Tracer>>,
-    /// Service-wide `--no-lazy`: jobs run the eager materializing pipeline
-    /// instead of the lazy fused one. A `submit` may also opt out per job
-    /// with a `no_lazy` field.
-    pub no_lazy: bool,
     /// Directory of the persistent metrics journal (`--metrics-dir`):
     /// the sampler appends interval snapshots of the service counters and
     /// histograms to rotating JSONL segments that survive restarts and are
@@ -194,9 +189,6 @@ struct JobResult {
 struct JobRecord {
     spec: CheckSpec,
     budget: Budget,
-    /// Whether this job runs the lazy fused pipeline (service default,
-    /// overridable per submit via `no_lazy`).
-    lazy: bool,
     /// Admission weight (declared max-states, or [`DEFAULT_JOB_WEIGHT`]).
     weight: u64,
     /// Id of the submitting connection — disconnects cancel by this.
@@ -221,9 +213,6 @@ struct JobRecord {
 struct JobStream {
     probe: GuardProbe,
     tracer: Arc<Tracer>,
-    /// The histogram registry attached to the job's guard; the sampler
-    /// streams its cumulative snapshots as `hist` events.
-    hists: HistogramRegistry,
     /// Serializes sampler ticks against the completion flush so the final
     /// heartbeat and trace tail always precede the `done` record.
     publish: Mutex<()>,
@@ -299,16 +288,12 @@ struct Core {
     max_inflight: Option<u64>,
     queue_cap: usize,
     default_budget: Budget,
-    /// Service-wide lazy opt-out (`--no-lazy`), the default for submits
-    /// that carry no `no_lazy` field.
-    no_lazy: bool,
     /// The subscriber fan-out plane.
     bus: StreamBus,
     /// Service-global percentile plane: queue wait, job wall time,
-    /// admission latency, subscriber write stalls, the shared cache's and
-    /// pool's latencies, plus every finished job's own histograms
-    /// (absorbed at completion). Exposed by the `metrics` verb and
-    /// journaled by the sampler.
+    /// admission latency, subscriber write stalls, and the shared cache's
+    /// and pool's latencies. Exposed by the `metrics` verb and journaled by
+    /// the sampler.
     hists: HistogramRegistry,
     /// The persistent metrics journal (`--metrics-dir`), appended by the
     /// sampler thread and once more at drain.
@@ -413,7 +398,7 @@ fn settle_locked(t: &mut Table, id: u64, mut result: JobResult) {
 /// Executes one job on a pool worker: builds the per-job guard, runs the
 /// shared check pipeline behind `catch_unwind`, and records the result.
 fn run_job(core: &Arc<Core>, id: u64) {
-    let (spec, budget, cancel, lazy, submitted_at) = {
+    let (spec, budget, cancel, submitted_at) = {
         let t = core.lock();
         let Some(e) = t.entries.get(&id) else {
             return;
@@ -422,7 +407,6 @@ fn run_job(core: &Arc<Core>, id: u64) {
             e.spec.clone(),
             e.budget.clone(),
             e.cancel.clone(),
-            e.lazy,
             e.submitted_at,
         )
     };
@@ -439,21 +423,13 @@ fn run_job(core: &Arc<Core>, id: u64) {
     let global_offset = core.tracer.as_ref().map(|t| t.now_us());
     reg.set_tracer(Arc::clone(&job_tracer));
     let was_cancelled = cancel.clone();
-    // The per-job histogram registry keeps this job's latency percentiles
-    // separable on the stream; the whole shard is absorbed into the
-    // service-global registry once the job settles.
-    let job_hists = HistogramRegistry::new();
-    let mut guard = Guard::with_cancel(budget, cancel)
-        .with_lazy(lazy)
-        .with_metrics(reg.clone())
-        .with_histograms(job_hists.clone());
+    let mut guard = Guard::with_cancel(budget, cancel).with_metrics(reg.clone());
     if let Some(c) = &core.cache {
         guard = guard.with_op_cache(c.clone());
     }
     let stream = Arc::new(JobStream {
         probe: guard.probe(),
         tracer: Arc::clone(&job_tracer),
-        hists: job_hists.clone(),
         publish: Mutex::new(()),
         finished: AtomicBool::new(false),
     });
@@ -510,9 +486,6 @@ fn run_job(core: &Arc<Core>, id: u64) {
     if let Some((global, offset)) = core.tracer.as_ref().zip(global_offset) {
         global.absorb_events(offset, &job_tracer.events());
     }
-    // Fold the job's histograms into the service-global registry so the
-    // `metrics` verb and the journal aggregate across jobs.
-    core.hists.absorb(&job_hists.snapshot());
     complete(core, id, result, was_cancelled.is_cancelled());
 }
 
@@ -559,20 +532,8 @@ fn publish_job_trace(core: &Core, id: u64, stream: &JobStream) {
     }
 }
 
-/// Streams the job's cumulative histogram snapshots as `hist` events.
-/// Snapshots repeat and grow tick over tick; consumers keep the latest per
-/// `(job, family)` (`rlcheck report`/`top` both do), so re-sending is
-/// idempotent rather than double-counting.
-fn publish_job_hists(core: &Core, id: u64, stream: &JobStream) {
-    for (name, snap) in stream.hists.snapshot() {
-        if snap.count > 0 {
-            publish_json(core, id, &hist_event_json(&name, Some(id), &snap));
-        }
-    }
-}
-
 /// One sampler tick for a running job: a heartbeat, then the fresh trace
-/// events, then the histogram snapshots.
+/// events.
 fn publish_job_tick(core: &Core, id: u64, stream: &JobStream) {
     let _order = stream
         .publish
@@ -583,7 +544,6 @@ fn publish_job_tick(core: &Core, id: u64, stream: &JobStream) {
     }
     publish_json(core, id, &job_heartbeat_json(core, id, stream));
     publish_job_trace(core, id, stream);
-    publish_job_hists(core, id, stream);
 }
 
 /// The completion flush: guarantees at least one heartbeat and the whole
@@ -596,7 +556,6 @@ fn publish_job_final(core: &Core, id: u64, stream: &JobStream, code: u8) {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     publish_json(core, id, &job_heartbeat_json(core, id, stream));
     publish_job_trace(core, id, stream);
-    publish_job_hists(core, id, stream);
     publish_json(core, id, &done_json(id, code));
     stream.finished.store(true, Ordering::Release);
 }
@@ -749,13 +708,6 @@ fn str_field(v: &Json, key: &str) -> Option<String> {
 fn u64_field(v: &Json, key: &str) -> Option<u64> {
     match v.get(key) {
         Some(Json::Int(i)) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-fn bool_field(v: &Json, key: &str) -> Option<bool> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Some(*b),
         _ => None,
     }
 }
@@ -967,7 +919,7 @@ fn metrics_reply(core: &Arc<Core>, format: Option<&str>) -> Json {
         Some("jsonl") => {
             let mut body = String::new();
             for (name, snap) in &hists {
-                if let Ok(line) = rl_json::to_string(&hist_event_json(name, None, snap)) {
+                if let Ok(line) = rl_json::to_string(&hist_event_json(name, snap)) {
                     body.push_str(&line);
                     body.push('\n');
                 }
@@ -1079,7 +1031,6 @@ fn handle_submit(core: &Arc<Core>, conn: u64, v: &Json) -> Json {
         budget.max_states = Some(n as usize);
     }
     let weight = budget.max_states.map_or(DEFAULT_JOB_WEIGHT, |n| n as u64);
-    let lazy = !bool_field(v, "no_lazy").unwrap_or(core.no_lazy);
     let spec = CheckSpec { source, formula };
 
     let admit_started = Instant::now();
@@ -1106,7 +1057,6 @@ fn handle_submit(core: &Arc<Core>, conn: u64, v: &Json) -> Json {
             JobRecord {
                 spec,
                 budget,
-                lazy,
                 weight,
                 conn,
                 submitted_at: Instant::now(),
@@ -1334,7 +1284,6 @@ pub fn serve(
         max_inflight: config.max_inflight_states,
         queue_cap: config.queue_cap,
         default_budget: config.job_budget.clone(),
-        no_lazy: config.no_lazy,
         bus: StreamBus::new(),
         hists: HistogramRegistry::new(),
         journal,

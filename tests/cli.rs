@@ -141,8 +141,8 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn max_states_budget_exhaustion_exits_3() {
-    // needle24.ts determinizes to 2^24 subset states; a 10k-state budget
-    // must trip almost immediately instead of hanging.
+    // needle24.ts's relative-safety products outgrow a 10k-state budget,
+    // which must trip almost immediately instead of letting them grow.
     let out = rlcheck(&[
         "check",
         "examples/systems/needle24.ts",
@@ -216,6 +216,7 @@ fn stats_flag_prints_phase_table_on_stderr() {
         "relative_safety",
         "lazy_inclusion",
         "buchi_intersection",
+        "emptiness",
     ] {
         assert!(err.contains(phase), "no {phase} row in stderr: {err}");
     }
@@ -224,26 +225,6 @@ fn stats_flag_prints_phase_table_on_stderr() {
         assert!(err.contains(counter), "no {counter} row in stderr: {err}");
     }
     assert!(err.contains("total"), "no totals footer: {err}");
-    // --no-lazy swaps the fused search for the materializing pipeline.
-    let eager = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--stats",
-        "--no-lazy",
-    ]);
-    assert_eq!(eager.status.code(), Some(0));
-    assert_eq!(
-        stdout(&eager),
-        stdout(&out),
-        "--no-lazy must not change verdicts"
-    );
-    let eerr = stderr(&eager);
-    assert!(eerr.contains("determinize"), "no determinize row: {eerr}");
-    assert!(
-        !eerr.contains("lazy_inclusion"),
-        "eager run ran lazily: {eerr}"
-    );
 }
 
 #[test]
@@ -311,31 +292,8 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
 
 #[test]
 fn budget_report_names_the_exhausted_phase() {
-    // Eager pipeline: needle24 exhausts a 5k-state cap inside the subset
-    // construction of the behaviors limit.
-    let out = rlcheck(&[
-        "check",
-        "examples/systems/needle24.ts",
-        "[]<>a",
-        "--max-states",
-        "5000",
-        "--no-lazy",
-        "--stats",
-    ]);
-    assert_eq!(out.status.code(), Some(3));
-    let err = stderr(&out);
-    assert!(
-        err.contains("in phase check/behaviors/limit/determinize"),
-        "budget report must name the phase: {err}"
-    );
-    // The profile is still flushed on the exit-3 path.
-    assert!(
-        err.contains("total"),
-        "no totals footer after exhaustion: {err}"
-    );
-    // Lazy pipeline: the same input sails past that cap (the subset
-    // construction never runs); a much tighter one trips inside the fused
-    // inclusion search, and the report names *that* phase.
+    // A tight cap trips inside the fused inclusion search, and the report
+    // names that phase.
     let lazy = rlcheck(&[
         "check",
         "examples/systems/needle24.ts",
@@ -349,6 +307,11 @@ fn budget_report_names_the_exhausted_phase() {
     assert!(
         lerr.contains("in phase check/relative_liveness/lazy_inclusion"),
         "budget report must name the lazy phase: {lerr}"
+    );
+    // The profile is still flushed on the exit-3 path.
+    assert!(
+        lerr.contains("total"),
+        "no totals footer after exhaustion: {lerr}"
     );
 }
 
@@ -389,8 +352,12 @@ fn malformed_budget_flags_exit_2() {
 #[test]
 fn unknown_flags_exit_2() {
     // A misspelled budget flag used to be ignored, running with no budget,
-    // and a flag that no longer exists must not be accepted silently.
-    for flag in [&["--max-state", "1"][..], &["--no-filters"][..]] {
+    // and flags that no longer exist must not be accepted silently.
+    for flag in [
+        &["--max-state", "1"][..],
+        &["--no-filters"][..],
+        &["--no-lazy"][..],
+    ] {
         let mut args = vec!["check", "examples/systems/abp.ts", "[]<>deliver"];
         args.extend_from_slice(flag);
         let out = rlcheck(&args);
@@ -412,6 +379,24 @@ fn unknown_flags_exit_2() {
         Some(2),
         "batch rejects unknown flags too"
     );
+    // serve rejects them before it binds its socket.
+    let socket = std::env::temp_dir().join(format!("rlcheck-unknown-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let out = rlcheck(&[
+        "serve",
+        "--socket",
+        socket.to_str().expect("utf-8 path"),
+        "--no-lazy",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "serve rejects unknown flags too"
+    );
+    let err = stderr(&out);
+    assert!(err.contains("unknown flag"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+    assert!(!socket.exists(), "no socket bound on a usage error");
 }
 
 #[test]
@@ -445,17 +430,16 @@ fn jobs_flag_output_is_identical_to_sequential() {
 
 #[test]
 fn jobs_budget_trip_is_identical_to_sequential() {
-    // Eagerly, needle24 blows a 20k-state cap inside determinize; the trip
-    // point and every deterministic diagnostic must not depend on the
-    // thread count.
+    // tangle300 blows a 100k-state cap inside the lazy inclusion search,
+    // whose wide frontier fans out across the pool; the trip point and
+    // every deterministic diagnostic must not depend on the thread count.
     let run = |jobs: &str| {
         rlcheck(&[
             "check",
-            "examples/systems/needle24.ts",
-            "[]<>deliver",
+            "examples/systems/tangle300.ts",
+            "[]<>a",
             "--max-states",
-            "20000",
-            "--no-lazy",
+            "100000",
             "--jobs",
             jobs,
         ])
@@ -479,9 +463,8 @@ fn jobs_budget_trip_is_identical_to_sequential() {
         strip_elapsed(stderr(&j4)),
         "same trip point, same partial diagnostics"
     );
-    // The lazy fused search honors the same discipline: its frontier fans
-    // out across the pool, but charges merge sequentially, so a trip inside
-    // lazy_inclusion lands on the same state at any thread count.
+    // Charges merge sequentially, so a trip early inside lazy_inclusion
+    // lands on the same state at any thread count too.
     let lazy = |jobs: &str| {
         rlcheck(&[
             "check",
@@ -708,14 +691,12 @@ fn trace_out_records_balanced_worker_tracks_and_pool_instants() {
     let dir = std::env::temp_dir().join("rlcheck-trace-out");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("trace.json");
-    // needle24 under a 20k-state cap runs long enough for the parallel
-    // kernels to fan real tasks out to the pool before the budget trips
-    // (eagerly — the lazy pipeline finishes it in milliseconds).
+    // tangle300 under a 20k-state cap runs long enough for the lazy
+    // search to fan real tasks out to the pool before the budget trips.
     let out = rlcheck(&[
         "check",
-        "examples/systems/needle24.ts",
+        "examples/systems/tangle300.ts",
         "[]<>a",
-        "--no-lazy",
         "--jobs",
         "4",
         "--max-states",
@@ -987,9 +968,8 @@ fn progress_flag_emits_heartbeats() {
     let out = Command::new(env!("CARGO_BIN_EXE_rlcheck"))
         .args([
             "check",
-            "examples/systems/needle24.ts",
+            "examples/systems/tangle300.ts",
             "[]<>a",
-            "--no-lazy",
             "--timeout",
             "1",
             "--progress",
@@ -1072,14 +1052,12 @@ fn sigint_oneshot_exits_3_and_flushes_partial_metrics() {
     let dir = std::env::temp_dir().join("rlcheck-sigint");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let metrics = dir.join("interrupted.jsonl");
-    // A check that would run for minutes: needle24, eagerly, with a huge
-    // budget (the lazy default would finish before the signal lands).
+    // A check that runs for seconds: tangle300 with a huge budget.
     let child = Command::new(env!("CARGO_BIN_EXE_rlcheck"))
         .args([
             "check",
-            "examples/systems/needle24.ts",
+            "examples/systems/tangle300.ts",
             "[]<>a",
-            "--no-lazy",
             "--timeout",
             "600",
             "--metrics",
@@ -1090,7 +1068,7 @@ fn sigint_oneshot_exits_3_and_flushes_partial_metrics() {
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("rlcheck spawns");
-    // Let it get properly inside the subset construction, then Ctrl-C it.
+    // Let it get properly inside the inclusion search, then Ctrl-C it.
     std::thread::sleep(std::time::Duration::from_millis(400));
     let kill = Command::new("kill")
         .args(["-INT", &child.id().to_string()])

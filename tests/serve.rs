@@ -352,11 +352,10 @@ fn panicking_job_is_contained_and_siblings_stay_deterministic() {
 fn client_disconnect_cancels_its_job() {
     let d = start_daemon("disco", &["--jobs", "1"], &[]);
 
-    // Client A submits a check that would run for minutes …
+    // Client A submits a check that would run for seconds …
     let mut a = connect(&d);
     let r = a.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
+        ("path", s("examples/systems/tangle300.ts")),
         ("formula", s("[]<>a")),
         ("timeout_ms", i(120_000)),
     ]));
@@ -395,8 +394,7 @@ fn admission_queues_over_ceiling_then_admits() {
 
     // Job 1 occupies 200k of the 300k ceiling until its budget trips.
     let r1 = c.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
+        ("path", s("examples/systems/tangle300.ts")),
         ("formula", s("[]<>a")),
         ("max_states", i(200_000)),
         ("timeout_ms", i(2_000)),
@@ -414,7 +412,7 @@ fn admission_queues_over_ceiling_then_admits() {
 
     // Once job 1 releases its weight, job 2 is admitted and completes.
     let done1 = c.wait_job(int_field(&r1, "id"));
-    assert_eq!(int_field(&done1, "code"), 3, "needle trips its budget");
+    assert_eq!(int_field(&done1, "code"), 3, "tangle300 trips its budget");
     let done2 = c.wait_job(int_field(&r2, "id"));
     let code2 = int_field(&done2, "code");
     assert!(
@@ -446,8 +444,7 @@ fn completion_admits_queued_jobs_only_up_to_capacity() {
 
     // Job 1 briefly holds 200k of the 300k ceiling.
     let r1 = c.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
+        ("path", s("examples/systems/tangle300.ts")),
         ("formula", s("[]<>a")),
         ("max_states", i(200_000)),
         ("timeout_ms", i(1_000)),
@@ -461,8 +458,7 @@ fn completion_admits_queued_jobs_only_up_to_capacity() {
     let mut ids = Vec::new();
     for _ in 0..2 {
         let r = c.request(&submit_line(&[
-            ("path", s("examples/systems/needle24.ts")),
-            ("no_lazy", Json::Bool(true)),
+            ("path", s("examples/systems/tangle300.ts")),
             ("formula", s("[]<>a")),
             ("max_states", i(200_000)),
             ("timeout_ms", i(120_000)),
@@ -517,8 +513,7 @@ fn admission_rejects_oversize_jobs_and_full_queues() {
 
     // Occupy most of the ceiling …
     let r1 = c.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
+        ("path", s("examples/systems/tangle300.ts")),
         ("formula", s("[]<>a")),
         ("max_states", i(250_000)),
         ("timeout_ms", i(2_000)),
@@ -811,8 +806,7 @@ fn slow_subscriber_drops_events_but_never_stalls_the_job_or_drain() {
     let mut c = connect(&d);
     let started = Instant::now();
     let r = c.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
+        ("path", s("examples/systems/tangle300.ts")),
         ("formula", s("[]<>a")),
         ("timeout_ms", i(2_000)),
     ]));
@@ -978,8 +972,7 @@ fn injected_connection_drop_cancels_like_a_real_disconnect() {
     );
     let mut a = connect(&d);
     let r = a.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
+        ("path", s("examples/systems/tangle300.ts")),
         ("formula", s("[]<>a")),
         ("timeout_ms", i(120_000)),
     ]));
